@@ -5,12 +5,19 @@
 
 GO ?= go
 
-.PHONY: all vet build test race serve metrics chaos fuzz bench bench-all benchdiff table-accuracy profile scale ci
+.PHONY: all vet vet-arm64 build test race serve metrics chaos fuzz bench bench-all benchdiff table-accuracy profile scale ci
 
 all: vet build test
 
 vet:
 	$(GO) vet ./...
+
+# The lane kernel is amd64 assembly behind a pure-Go fallback: vetting
+# the kernel package, the parallel engine and the facade for arm64
+# keeps the !amd64 build of the fallback compiling (go vet's asmdecl
+# check covers the amd64 assembly frames in `vet`).
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./internal/forcefield ./internal/par .
 
 build:
 	$(GO) build ./...
@@ -57,12 +64,17 @@ chaos:
 # checks run on the seed corpora in `test`; fuzzing explores beyond
 # them. FuzzFTDCDecode drives malformed telemetry streams against the
 # chunked decoder: decoding must error cleanly, never panic, and
-# anything it accepts must re-encode bit-exactly. Part of `ci` —
-# list-building, table, and codec bugs corrupt data silently, so all
-# three get adversarial inputs on every change.
+# anything it accepts must re-encode bit-exactly. FuzzClusterKernelLanes
+# drives random periodic boxes, cluster shapes, exclusions, 1-4 pairs and
+# pairs exactly at the cutoff and switching distance through the AVX2
+# lane kernel and the pure-Go cluster kernel, which must agree bit for
+# bit. Part of `ci` — list-building, kernel, table, and codec bugs
+# corrupt data silently, so all four get adversarial inputs on every
+# change.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClusterPairs -fuzztime=20s ./internal/spatial
 	$(GO) test -run='^$$' -fuzz=FuzzInteractionTable -fuzztime=20s ./internal/forcefield
+	$(GO) test -run='^$$' -fuzz=FuzzClusterKernelLanes -fuzztime=20s ./internal/forcefield
 	$(GO) test -run='^$$' -fuzz=FuzzFTDCDecode -fuzztime=20s ./internal/ftdc
 
 # The tracked performance suite: kernel benchmarks (ns/pair) and step
@@ -120,4 +132,4 @@ scale:
 	$(GO) run ./cmd/benchtables -scale > docs/scaletables_output.txt
 	@echo "wrote docs/scaletables_output.txt"
 
-ci: vet build race fuzz
+ci: vet vet-arm64 build race fuzz

@@ -245,6 +245,13 @@ func main() {
 	if *skin > 0 {
 		fmt.Printf("verlet lists: skin %.2f Å\n", *skin)
 	}
+	var pmeBeta float64 // 0: cutoff electrostatics
+	if *pme {
+		pmeBeta = *ewaldBeta
+		if pmeBeta == 0 {
+			pmeBeta = 3.12 / *cutoff
+		}
+	}
 	if *cluster != "" {
 		mode := "fp64"
 		if *f32 {
@@ -257,7 +264,14 @@ func main() {
 		if skinVal == 0 {
 			skinVal = 1.5
 		}
-		fmt.Printf("cluster lists: %dx%d, skin %.2f Å, %s\n", clM, clN, skinVal, mode)
+		// The fp64 analytic kernel picks its implementation from the
+		// host CPU and the list width; the fp32 and table kernels are
+		// pure Go.
+		kernel := "go"
+		if !*f32 && !*table {
+			kernel = gonamd.ClusterKernelPath(clN, pmeBeta)
+		}
+		fmt.Printf("cluster lists: %dx%d, skin %.2f Å, %s, kernel %s\n", clM, clN, skinVal, mode, kernel)
 	}
 	if *table {
 		if *tableSpacing > 0 {
@@ -267,11 +281,7 @@ func main() {
 		}
 	}
 	if *pme {
-		beta := *ewaldBeta
-		if beta == 0 {
-			beta = 3.12 / *cutoff
-		}
-		fmt.Printf("pme: grid spacing %.2f Å, ewald beta %.3f 1/Å, MTS period %d\n", *grid, beta, *mts)
+		fmt.Printf("pme: grid spacing %.2f Å, ewald beta %.3f 1/Å, MTS period %d\n", *grid, pmeBeta, *mts)
 	}
 
 	var tw *traj.Writer

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gonamd"
+	"gonamd/internal/forcefield"
 )
 
 // diffSystem builds a moderately sized water box once for the
@@ -17,6 +18,20 @@ func diffSystem(t *testing.T) (*gonamd.System, *gonamd.State, *gonamd.ForceField
 		t.Fatal(err)
 	}
 	return sys, st, gonamd.StandardForceField(7.0)
+}
+
+// laneKernelCheck makes the bitwise cluster assertions non-vacuous on
+// AVX2 hosts: the returned func fails t unless the lane kernel served
+// at least one NonbondedCluster call since laneKernelCheck was called,
+// whenever an n-wide list with cutoff electrostatics takes that path.
+func laneKernelCheck(t *testing.T, n int, what string) func() {
+	before := forcefield.LaneKernelCalls()
+	return func() {
+		t.Helper()
+		if gonamd.ClusterKernelPath(n, 0) == "avx2" && forcefield.LaneKernelCalls() == before {
+			t.Errorf("%s: AVX2 host, but the lane kernel never ran", what)
+		}
+	}
 }
 
 // TestDifferentialForcesAcrossEngines: every engine configuration —
@@ -204,7 +219,9 @@ func TestDifferentialClusterForces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ran := laneKernelCheck(t, mn[1], "seq")
 		check("seq+clusters", seqCl.ComputeForces(), seqCl.Forces())
+		ran()
 		opt := snapshot(seqCl.Forces())
 		seqCl.UseReferenceClusterKernel(true)
 		seqCl.ComputeForces()
@@ -217,7 +234,9 @@ func TestDifferentialClusterForces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ran := laneKernelCheck(t, mn[1], "par")
 			check("parallel+clusters", parCl.ComputeForces(), parCl.Forces())
+			ran()
 			opt := snapshot(parCl.Forces())
 			parCl.UseReferenceClusterKernel(true)
 			parCl.ComputeForces()
@@ -247,6 +266,7 @@ func TestClusterRebuildVsReplay(t *testing.T) {
 	}
 
 	run := func(name string, mk func(s *gonamd.State) clusterEngine) {
+		defer laneKernelCheck(t, 4, name)()
 		aSt := st.Clone()
 		warm := mk(aSt)
 		warm.ComputeForces() // first build

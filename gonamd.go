@@ -100,6 +100,16 @@ var NewPairBatch = forcefield.NewPairBatch
 // its interaction-table spacing from: spacing = cutoff²/DefaultTableBins.
 const DefaultTableBins = forcefield.DefaultTableBins
 
+// ClusterKernelPath names the implementation the fp64 analytic cluster
+// kernel runs on for an n-wide cluster list with the given Ewald
+// splitting parameter (0 for cutoff electrostatics): "avx2" for the
+// lane kernel, taken automatically on AVX2 hosts for N = 4 lists with
+// cutoff electrostatics, and "go" for the pure-Go loop otherwise. Both
+// produce bitwise identical forces; there is no option selecting one.
+func ClusterKernelPath(n int, ewaldBeta float64) string {
+	return forcefield.ClusterKernelPath(n, ewaldBeta)
+}
+
 // Full electrostatics: constructing either engine with
 // WithPME(gridSpacing, beta, mtsPeriod) switches it to smooth
 // particle-mesh Ewald with impulse multiple timestepping. The building

@@ -122,7 +122,22 @@ func (d *ClusterData) LoadPositions(l *spatial.ClusterList, pos []vec.V3) {
 // slot-force allocators and the ClusterData resize helpers guarantee
 // this): the kernel reads and writes a cluster's slot run through
 // constant-length-8 re-slices so the pair loop carries no bounds checks.
+//
+// On AVX2 hosts, N = 4 lists with cutoff electrostatics run on the lane
+// kernel (lanes.go), which is bitwise identical to the pure-Go loop;
+// ClusterKernelPath names the path a list takes.
 func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
+	if useLanes(l.N, p.EwaldBeta) {
+		laneCalls.Add(1)
+		return p.nonbondedClusterLanes(l, d, ics, fx, fy, fz)
+	}
+	return p.nonbondedClusterGo(l, d, ics, fx, fy, fz)
+}
+
+// nonbondedClusterGo is the pure-Go NonbondedCluster loop: the fallback
+// for every list the lane kernel does not take, and its bitwise
+// reference.
+func (p *Params) nonbondedClusterGo(l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	rc2 := p.Cutoff * p.Cutoff
 	rs2 := p.SwitchDist * p.SwitchDist
 	denom := (rc2 - rs2) * (rc2 - rs2) * (rc2 - rs2)

@@ -133,8 +133,11 @@ func (p *Params) Validate() error {
 func (p *Params) buildPairTables() {
 	t := len(p.AtomTypes)
 	p.ntypes = t
-	p.pair = make([]pairParam, t*t)
-	p.pair14 = make([]pairParam, t*t)
+	// One backing array, plain table first: the lane kernel addresses
+	// the 1-4 table as an index offset of t² from the plain one.
+	both := make([]pairParam, 2*t*t)
+	p.pair = both[: t*t : t*t]
+	p.pair14 = both[t*t:]
 	for i := 0; i < t; i++ {
 		for j := 0; j < t; j++ {
 			ti, tj := p.AtomTypes[i], p.AtomTypes[j]

@@ -1,0 +1,170 @@
+package forcefield
+
+import (
+	"sync/atomic"
+	"unsafe"
+
+	"gonamd/internal/spatial"
+)
+
+// Lane kernel: the float64 cluster kernel evaluated four j-lanes at a
+// time (lanes_amd64.s). NonbondedCluster dispatches to it automatically
+// when the host has AVX2, the list is N = 4 wide, and electrostatics are
+// the shifted-cutoff form (EwaldBeta == 0); every other case runs the
+// pure-Go loop, which stays the bitwise reference.
+//
+// Per pair the lane kernel performs the same IEEE operations in the same
+// association as Nonbonded — one vdivpd and one vsqrtpd, no FMA, the
+// minimum image and the switching region selected by compare-and-blend
+// instead of branches — so each lane's operands and results are exactly
+// the pure-Go kernel's. Lanes the pure-Go kernel skips (mask bit clear,
+// x ≥ rc², x == 0) are evaluated anyway and then AND-ed to +0 before any
+// accumulation; every accumulator starts at +0 and a sum that starts at
+// +0 can never become −0, so adding those +0s changes no bit. Energies,
+// virial and the i-row force partials are added lane by lane in
+// ascending-bit order (the pure-Go kernel's order); j-forces are
+// per-lane and update lane-wise.
+
+// laneCalls counts NonbondedCluster calls served by the lane kernel.
+var laneCalls atomic.Uint64
+
+// LaneKernelCalls reports how many NonbondedCluster calls in this
+// process have run on the lane kernel (zero on hosts or lists that
+// take the pure-Go path).
+func LaneKernelCalls() uint64 { return laneCalls.Load() }
+
+// ClusterKernelPath names the implementation NonbondedCluster runs for
+// an n-wide cluster list with the given Ewald splitting parameter:
+// "avx2" for the lane kernel, "go" for the pure-Go loop. The choice is
+// made from the host CPU and the list geometry alone; there is no knob.
+func ClusterKernelPath(n int, ewaldBeta float64) string {
+	if useLanes(n, ewaldBeta) {
+		return "avx2"
+	}
+	return "go"
+}
+
+func useLanes(n int, ewaldBeta float64) bool {
+	return haveLanes && n == 4 && ewaldBeta == 0
+}
+
+// The assembly walks entries with a fixed 24-byte stride and reads J,
+// Mask and Mod at offsets 0, 8 and 16; these fail to compile if the
+// layout ever changes.
+var (
+	_ = [1]struct{}{}[unsafe.Sizeof(spatial.ClusterPairEntry{})-24]
+	_ = [1]struct{}{}[24-unsafe.Sizeof(spatial.ClusterPairEntry{})]
+	_ = [1]struct{}{}[unsafe.Offsetof(spatial.ClusterPairEntry{}.Mask)-8]
+	_ = [1]struct{}{}[unsafe.Offsetof(spatial.ClusterPairEntry{}.Mod)-16]
+)
+
+// laneArgs is the lane kernel's operand block, shared with the assembly
+// through the generated go_asm.h offsets. Constants are stored four
+// times over so the assembly can use them as 256-bit memory operands.
+type laneArgs struct {
+	hx, hy, hz    [4]float64 // half box edges
+	nhx, nhy, nhz [4]float64 // negated half box edges
+	bx, by, bz    [4]float64 // box edges
+	nbx, nby, nbz [4]float64 // negated box edges
+	rc2, rs2      [4]float64
+	invDenom      [4]float64
+	invDenom6     [4]float64
+	sw3           [4]float64
+	invRc2        [4]float64
+	one, two      [4]float64
+	three, six    [4]float64
+	half, negTwo  [4]float64
+	scale14       [4]float64
+	modOff        [4]int64  // 2·nt²: pair-table index offset of the 1-4 table
+	signBit       [4]uint64 // 1<<63, to negate by XOR
+
+	// The i-cluster, staged by the Go driver.
+	xi, yi, zi, qai [8]float64
+	rb2             [8]int64      // 2·type·nt: pair-table row of each i-slot
+	fi              [8][4]float64 // i-row force partials (x, y, z, unused)
+
+	// Assembly scratch: the entry's 2·type j-lanes, the row's
+	// displacements and switching polynomials.
+	tj2        [4]int64
+	dx, dy, dz [4]float64
+	sw, dswdx  [4]float64
+
+	xs, ys, zs, qs *float64 // slot arrays (qs holds raw charges)
+	typ            *int32
+	fx, fy, fz     *float64
+	pair           *pairParam // plain table, 1-4 table at +nt²
+	ent            *spatial.ClusterPairEntry
+	nent           int
+
+	evdw float64    // running van der Waals energy
+	ev   [2]float64 // running electrostatic energy and virial
+}
+
+func bcast(v float64) [4]float64 { return [4]float64{v, v, v, v} }
+
+// nonbondedClusterLanes is NonbondedCluster on the lane kernel (see the
+// dispatch rule in useLanes).
+func (p *Params) nonbondedClusterLanes(l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
+	if len(l.Entries) == 0 {
+		return 0, 0, 0
+	}
+	// The hoisted constants are computed exactly as NonbondedCluster
+	// computes them.
+	rc2 := p.Cutoff * p.Cutoff
+	rs2 := p.SwitchDist * p.SwitchDist
+	denom := (rc2 - rs2) * (rc2 - rs2) * (rc2 - rs2)
+	invDenom := 1 / denom
+	nt := p.ntypes
+	bx, by, bz := l.Box.X, l.Box.Y, l.Box.Z
+	hx, hy, hz := bx/2, by/2, bz/2
+
+	var k laneArgs
+	k.hx, k.hy, k.hz = bcast(hx), bcast(hy), bcast(hz)
+	k.nhx, k.nhy, k.nhz = bcast(-hx), bcast(-hy), bcast(-hz)
+	k.bx, k.by, k.bz = bcast(bx), bcast(by), bcast(bz)
+	k.nbx, k.nby, k.nbz = bcast(-bx), bcast(-by), bcast(-bz)
+	k.rc2, k.rs2 = bcast(rc2), bcast(rs2)
+	k.invDenom, k.invDenom6 = bcast(invDenom), bcast(6*invDenom)
+	k.sw3 = bcast(rc2 - 3*rs2)
+	k.invRc2 = bcast(1 / rc2)
+	k.one, k.two, k.three, k.six = bcast(1), bcast(2), bcast(3), bcast(6)
+	k.half, k.negTwo = bcast(0.5), bcast(-2)
+	k.scale14 = bcast(p.Scale14Elec)
+	off := int64(2 * nt * nt)
+	k.modOff = [4]int64{off, off, off, off}
+	k.signBit = [4]uint64{1 << 63, 1 << 63, 1 << 63, 1 << 63}
+
+	xs, ys, zs := d.X, d.Y, d.Z
+	typ, qas := d.Typ, d.QA
+	k.xs, k.ys, k.zs, k.qs = &xs[0], &ys[0], &zs[0], &d.Q[0]
+	k.typ = &typ[0]
+	k.fx, k.fy, k.fz = &fx[0], &fy[0], &fz[0]
+	k.pair = &p.pair[0]
+
+	M := l.M
+	for _, ic32 := range ics {
+		ic := int(ic32)
+		lo, hi := l.EntryOff[ic], l.EntryOff[ic+1]
+		if lo == hi {
+			continue
+		}
+		iBase := ic * M
+		for a := 0; a < M; a++ {
+			s := iBase + a
+			k.xi[a&7], k.yi[a&7], k.zi[a&7] = xs[s], ys[s], zs[s]
+			k.qai[a&7] = qas[s]
+			k.rb2[a&7] = 2 * int64(typ[s]) * int64(nt)
+			k.fi[a&7] = [4]float64{}
+		}
+		k.ent = &l.Entries[lo]
+		k.nent = int(hi - lo)
+		clusterLanesAVX2(&k)
+		for a := 0; a < M; a++ {
+			s := iBase + a
+			fx[s] += k.fi[a&7][0]
+			fy[s] += k.fi[a&7][1]
+			fz[s] += k.fi[a&7][2]
+		}
+	}
+	return k.evdw, k.ev[0], k.ev[1]
+}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"testing"
 
 	"gonamd/internal/forcefield"
@@ -180,5 +181,48 @@ func TestStepClusterZeroAllocsTraced(t *testing.T) {
 	}
 	if len(l.Records) == 0 {
 		t.Fatal("trace recorded nothing")
+	}
+}
+
+// TestStepClusterZeroAllocsGOMAXPROCS: testing.AllocsPerRun pins
+// GOMAXPROCS to 1, so the gates above never run the workers truly in
+// parallel. This one counts heap allocations with runtime.ReadMemStats
+// around steady-state cluster steps at GOMAXPROCS ≥ 2 (the host's CPU
+// count when larger), on the fp64 kernel, including its lane kernel
+// operand block, which must stay on the worker's stack.
+func TestStepClusterZeroAllocsGOMAXPROCS(t *testing.T) {
+	procs := max(runtime.NumCPU(), 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := forcefield.Standard(7.0)
+	e, err := New(sys, ff, st, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RebalanceEvery = 0
+	if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	// A longer warm-up than the gates above. With the goroutines truly
+	// parallel, the step's WaitGroup waits draw the runtime's sudogs
+	// from one P's cache and return them to another's, and the runtime
+	// allocates fresh ones until a full per-P cache spills to the shared
+	// one (up to ~128 waits after a GC empties it). That is runtime
+	// warm-up, not engine allocation.
+	for i := 0; i < 300; i++ {
+		e.Step(0.5)
+	}
+	const steps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		e.Step(0.5)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("GOMAXPROCS=%d: %d heap allocations over %d steady-state cluster steps, want 0", procs, n, steps)
 	}
 }

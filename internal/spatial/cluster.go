@@ -3,7 +3,6 @@ package spatial
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"gonamd/internal/vec"
 )
@@ -133,6 +132,10 @@ type ClusterBuilder struct {
 	jMax       []vec.V3
 	cand       []int32   // candidate column scratch, sorted ascending
 	sx, sy, sz []float64 // slot → wrapped coordinate (padding slots undefined)
+
+	// applyOne is applyExclusion bound once, so handing it to the
+	// exclusion enumerator on every build does not allocate a closure.
+	applyOne func(i, j int32, modified bool)
 }
 
 // NewClusterBuilder validates the cluster geometry and prepares a
@@ -151,8 +154,10 @@ func NewClusterBuilder(box vec.V3, m, n int, listDist float64) (*ClusterBuilder,
 	if box.X <= 0 || box.Y <= 0 || box.Z <= 0 {
 		return nil, fmt.Errorf("spatial: invalid box %v", box)
 	}
-	return &ClusterBuilder{M: m, N: n, L: lcm(m, n), Box: box, ListDist: listDist,
-		list: ClusterList{M: m, N: n, Box: box}}, nil
+	b := &ClusterBuilder{M: m, N: n, L: lcm(m, n), Box: box, ListDist: listDist,
+		list: ClusterList{M: m, N: n, Box: box}}
+	b.applyOne = b.applyExclusion
+	return b, nil
 }
 
 func lcm(a, b int) int {
@@ -483,64 +488,63 @@ func (b *ClusterBuilder) buildEntries() {
 // displacement arithmetic (wrapped coordinates, branchy minimum image)
 // is the same the kernels use, so the filter keeps precisely the pairs a
 // kernel sweep at the build positions would find within ListDist.
+//
+// The filter is branch-free: all M×N distances are computed, each pair
+// is accepted by the sign bit of dist² − r² (clear exactly when
+// r² ≤ dist², since equal operands subtract to +0), and the result is
+// AND-ed with the real-slot/ordering mask. Padding slots hold stale but
+// finite coordinates; their bits are cleared by that mask.
 func (b *ClusterBuilder) entryMask(icBase, jcBase, ic, jc int) uint64 {
 	rj := b.realJ[jc]
 	ri := b.realI[ic]
 	dist2 := b.ListDist * b.ListDist
 	bx, by, bz := b.Box.X, b.Box.Y, b.Box.Z
 	hx, hy, hz := bx/2, by/2, bz/2
-	ordered := jcBase >= icBase+b.M // disjoint views: every j-slot follows every i-slot
+	M, N := b.M, b.N
+	ordered := jcBase >= icBase+M // disjoint views: every j-slot follows every i-slot
 
 	// Stage the j-cluster coordinates once per entry into fixed arrays
 	// (every later index is masked with &7, so the pair loop runs with no
-	// bounds checks), and iterate only the real j-slots via rj's set bits.
-	// Padding slots hold stale coordinates but are never visited.
+	// bounds checks).
 	var xj, yj, zj [8]float64
-	for m := rj; m != 0; m &= m - 1 {
-		bb := bits.TrailingZeros64(m) & 7
+	for bb := 0; bb < N; bb++ {
 		js := jcBase + bb
-		xj[bb], yj[bb], zj[bb] = b.sx[js], b.sy[js], b.sz[js]
+		xj[bb&7], yj[bb&7], zj[bb&7] = b.sx[js], b.sy[js], b.sz[js]
 	}
 	var mask uint64
-	for a := 0; a < b.M; a++ {
-		if ri&(1<<uint(a)) == 0 {
-			continue
-		}
+	for a := 0; a < M; a++ {
 		is := icBase + a
-		xa, ya, za := b.sx[is], b.sy[is], b.sz[is]
-		rowBit := uint64(1) << uint(a*b.N)
-		lim := -1 // ordered: no j-slot can precede an i-slot
+		allowed := rj & -(ri >> uint(a) & 1) // no bits for a padding i-slot
 		if !ordered {
-			lim = is - jcBase // skip bb with jcBase+bb <= is
-		}
-		for m := rj; m != 0; m &= m - 1 {
-			bb := bits.TrailingZeros64(m) & 7
-			if bb <= lim {
-				continue
+			if lim := is - jcBase; lim >= 0 { // drop bb with jcBase+bb <= is
+				allowed &^= uint64(1)<<uint(lim+1) - 1
 			}
-			dx := xa - xj[bb]
+		}
+		xa, ya, za := b.sx[is], b.sy[is], b.sz[is]
+		var row uint64
+		for bb := 0; bb < N; bb++ {
+			dx := xa - xj[bb&7]
 			if dx > hx {
 				dx -= bx
 			} else if dx < -hx {
 				dx += bx
 			}
-			dy := ya - yj[bb]
+			dy := ya - yj[bb&7]
 			if dy > hy {
 				dy -= by
 			} else if dy < -hy {
 				dy += by
 			}
-			dz := za - zj[bb]
+			dz := za - zj[bb&7]
 			if dz > hz {
 				dz -= bz
 			} else if dz < -hz {
 				dz += bz
 			}
-			if dx*dx+dy*dy+dz*dz > dist2 {
-				continue
-			}
-			mask |= rowBit << uint(bb)
+			d2 := dx*dx + dy*dy + dz*dz
+			row |= (^math.Float64bits(dist2-d2) >> 63) << uint(bb)
 		}
+		mask |= (row & allowed) << uint(a*N)
 	}
 	return mask
 }
@@ -599,37 +603,41 @@ func (b *ClusterBuilder) collectCandidates(c, rx, ry int) {
 // flags modified 1-4 pairs. Entries are sorted by J per i-cluster, so
 // each pair locates its entry with one binary search.
 func (b *ClusterBuilder) applyExclusions(excl func(fn func(i, j int32, modified bool))) {
+	excl(b.applyOne)
+}
+
+// applyExclusion clears one excluded pair's mask bit, or flags it in
+// Mod when the pair is a modified 1-4 pair.
+func (b *ClusterBuilder) applyExclusion(i, j int32, modified bool) {
 	l := &b.list
 	m32, n32 := int32(b.M), int32(b.N)
-	excl(func(i, j int32, modified bool) {
-		si, sj := l.SlotOf[i], l.SlotOf[j]
-		if si > sj {
-			si, sj = sj, si
-		}
-		ic, jc := si/m32, sj/n32
-		lo, hi := int(l.EntryOff[ic]), int(l.EntryOff[ic+1])
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if l.Entries[mid].J < jc {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == int(l.EntryOff[ic+1]) || l.Entries[lo].J != jc {
-			return // beyond the list distance: never evaluated
-		}
-		bit := uint64(1) << uint((si%m32)*n32+sj%n32)
-		e := &l.Entries[lo]
-		if e.Mask&bit == 0 {
-			return
-		}
-		if modified {
-			e.Mod |= bit
+	si, sj := l.SlotOf[i], l.SlotOf[j]
+	if si > sj {
+		si, sj = sj, si
+	}
+	ic, jc := si/m32, sj/n32
+	lo, hi := int(l.EntryOff[ic]), int(l.EntryOff[ic+1])
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if l.Entries[mid].J < jc {
+			lo = mid + 1
 		} else {
-			e.Mask &^= bit
+			hi = mid
 		}
-	})
+	}
+	if lo == int(l.EntryOff[ic+1]) || l.Entries[lo].J != jc {
+		return // beyond the list distance: never evaluated
+	}
+	bit := uint64(1) << uint((si%m32)*n32+sj%n32)
+	e := &l.Entries[lo]
+	if e.Mask&bit == 0 {
+		return
+	}
+	if modified {
+		e.Mod |= bit
+	} else {
+		e.Mask &^= bit
+	}
 }
 
 func resizeI32(s []int32, n int) []int32 {
