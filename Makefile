@@ -68,13 +68,17 @@ chaos:
 # drives random periodic boxes, cluster shapes, exclusions, 1-4 pairs and
 # pairs exactly at the cutoff and switching distance through the AVX2
 # lane kernel and the pure-Go cluster kernel, which must agree bit for
-# bit. Part of `ci` — list-building, kernel, table, and codec bugs
-# corrupt data silently, so all four get adversarial inputs on every
-# change.
+# bit; FuzzClusterKernelTabLanes does the same for the table lane kernel
+# against the pure-Go table kernel, over shifted and Ewald tables at the
+# default and a coarse spacing, bin edges, the cutoff, and beyond-cutoff
+# lanes in kilometre boxes. Part of `ci` — list-building, kernel, table,
+# and codec bugs corrupt data silently, so all of them get adversarial
+# inputs on every change.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClusterPairs -fuzztime=20s ./internal/spatial
 	$(GO) test -run='^$$' -fuzz=FuzzInteractionTable -fuzztime=20s ./internal/forcefield
 	$(GO) test -run='^$$' -fuzz=FuzzClusterKernelLanes -fuzztime=20s ./internal/forcefield
+	$(GO) test -run='^$$' -fuzz=FuzzClusterKernelTabLanes -fuzztime=20s ./internal/forcefield
 	$(GO) test -run='^$$' -fuzz=FuzzFTDCDecode -fuzztime=20s ./internal/ftdc
 
 # The tracked performance suite: kernel benchmarks (ns/pair) and step

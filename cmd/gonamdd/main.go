@@ -26,6 +26,18 @@ import (
 	"gonamd/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a stalled or slow-drip connection is dropped
+// instead of holding a server goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the daemon's HTTP server. It sets a header read
+// timeout but no write timeout: the NDJSON event and metrics streams
+// stay open for a job's whole run.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", ":8765", "listen address")
@@ -52,7 +64,7 @@ func main() {
 		log.Printf("gonamdd: rescanned %s: %d job(s)", *state, n)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serve.NewServer(sched)}
+	srv := newHTTPServer(*addr, serve.NewServer(sched))
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

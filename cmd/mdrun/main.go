@@ -264,12 +264,11 @@ func main() {
 		if skinVal == 0 {
 			skinVal = 1.5
 		}
-		// The fp64 analytic kernel picks its implementation from the
-		// host CPU and the list width; the fp32 and table kernels are
-		// pure Go.
+		// The fp64 kernels pick their implementation from the host CPU
+		// and the list width; the fp32 kernels are pure Go.
 		kernel := "go"
-		if !*f32 && !*table {
-			kernel = gonamd.ClusterKernelPath(clN, pmeBeta)
+		if !*f32 {
+			kernel = gonamd.ClusterKernelPath(clN, pmeBeta, *table)
 		}
 		fmt.Printf("cluster lists: %dx%d, skin %.2f Å, %s, kernel %s\n", clM, clN, skinVal, mode, kernel)
 	}

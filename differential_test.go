@@ -21,14 +21,16 @@ func diffSystem(t *testing.T) (*gonamd.System, *gonamd.State, *gonamd.ForceField
 }
 
 // laneKernelCheck makes the bitwise cluster assertions non-vacuous on
-// AVX2 hosts: the returned func fails t unless the lane kernel served
-// at least one NonbondedCluster call since laneKernelCheck was called,
-// whenever an n-wide list with cutoff electrostatics takes that path.
-func laneKernelCheck(t *testing.T, n int, what string) func() {
+// AVX2 hosts: the returned func fails t unless a lane kernel served at
+// least one NonbondedCluster or NonbondedClusterTab call since
+// laneKernelCheck was called, whenever an n-wide list with the given
+// Ewald parameter (on the table kernel when tabulated is set) takes that
+// path.
+func laneKernelCheck(t *testing.T, n int, ewaldBeta float64, tabulated bool, what string) func() {
 	before := forcefield.LaneKernelCalls()
 	return func() {
 		t.Helper()
-		if gonamd.ClusterKernelPath(n, 0) == "avx2" && forcefield.LaneKernelCalls() == before {
+		if gonamd.ClusterKernelPath(n, ewaldBeta, tabulated) == "avx2" && forcefield.LaneKernelCalls() == before {
 			t.Errorf("%s: AVX2 host, but the lane kernel never ran", what)
 		}
 	}
@@ -219,7 +221,7 @@ func TestDifferentialClusterForces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ran := laneKernelCheck(t, mn[1], "seq")
+		ran := laneKernelCheck(t, mn[1], 0, false, "seq")
 		check("seq+clusters", seqCl.ComputeForces(), seqCl.Forces())
 		ran()
 		opt := snapshot(seqCl.Forces())
@@ -234,7 +236,7 @@ func TestDifferentialClusterForces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ran := laneKernelCheck(t, mn[1], "par")
+			ran := laneKernelCheck(t, mn[1], 0, false, "par")
 			check("parallel+clusters", parCl.ComputeForces(), parCl.Forces())
 			ran()
 			opt := snapshot(parCl.Forces())
@@ -266,7 +268,7 @@ func TestClusterRebuildVsReplay(t *testing.T) {
 	}
 
 	run := func(name string, mk func(s *gonamd.State) clusterEngine) {
-		defer laneKernelCheck(t, 4, name)()
+		defer laneKernelCheck(t, 4, 0, false, name)()
 		aSt := st.Clone()
 		warm := mk(aSt)
 		warm.ComputeForces() // first build

@@ -100,14 +100,17 @@ var NewPairBatch = forcefield.NewPairBatch
 // its interaction-table spacing from: spacing = cutoff²/DefaultTableBins.
 const DefaultTableBins = forcefield.DefaultTableBins
 
-// ClusterKernelPath names the implementation the fp64 analytic cluster
-// kernel runs on for an n-wide cluster list with the given Ewald
-// splitting parameter (0 for cutoff electrostatics): "avx2" for the
-// lane kernel, taken automatically on AVX2 hosts for N = 4 lists with
-// cutoff electrostatics, and "go" for the pure-Go loop otherwise. Both
-// produce bitwise identical forces; there is no option selecting one.
-func ClusterKernelPath(n int, ewaldBeta float64) string {
-	return forcefield.ClusterKernelPath(n, ewaldBeta)
+// ClusterKernelPath names the implementation the fp64 cluster kernel
+// runs on for an n-wide cluster list with the given Ewald splitting
+// parameter (0 for cutoff electrostatics), for the tabulated kernel
+// (WithTabulatedKernels) when tabulated is set and the analytic kernel
+// otherwise: "avx2" for a lane kernel and "go" for the pure-Go loop. On
+// AVX2 hosts N = 4 lists take the table lane kernel for either
+// electrostatics, and the analytic lane kernel with cutoff
+// electrostatics. Both paths produce bitwise identical forces; there is
+// no option selecting one. The fp32-mixed kernels always run pure Go.
+func ClusterKernelPath(n int, ewaldBeta float64, tabulated bool) string {
+	return forcefield.ClusterKernelPath(n, ewaldBeta, tabulated)
 }
 
 // Full electrostatics: constructing either engine with

@@ -137,12 +137,21 @@ type Mesh3 struct {
 	// a pencil into contiguous scratch keeps the butterfly loops simple
 	// and cache-friendly).
 	scratch [][]float64
+
+	// The current sweep's direction and worker count, read by the pencil
+	// sweeps below. The sweeps are bound once as method values so a
+	// transform hands the pool preallocated funcs instead of allocating
+	// a closure per sweep.
+	inverse                bool
+	workers                int
+	sweepZ, sweepY, sweepX func(w int)
 }
 
 // NewMesh3 allocates a zeroed mesh; every dimension must be a power of
 // two ≥ 2.
 func NewMesh3(k [3]int) (*Mesh3, error) {
 	m := &Mesh3{K: k}
+	m.sweepZ, m.sweepY, m.sweepX = m.zSweep, m.ySweep, m.xSweep
 	for d := 0; d < 3; d++ {
 		if k[d] < 2 {
 			return nil, fmt.Errorf("fft: mesh dimension %d is %d, need ≥ 2", d, k[d])
@@ -193,60 +202,66 @@ func (m *Mesh3) Forward(pool Pool) { m.sweep3(pool, false) }
 func (m *Mesh3) Inverse(pool Pool) { m.sweep3(pool, true) }
 
 func (m *Mesh3) sweep3(pool Pool, inverse bool) {
-	workers := pool.Workers()
-	m.ensureScratch(workers)
+	m.workers = pool.Workers()
+	m.ensureScratch(m.workers)
+	m.inverse = inverse
+	pool.Run(m.sweepZ)
+	pool.Run(m.sweepY)
+	pool.Run(m.sweepX)
+}
+
+// zSweep transforms worker w's share of the z pencils, contiguous runs
+// of length K2.
+func (m *Mesh3) zSweep(w int) {
 	k0, k1, k2 := m.K[0], m.K[1], m.K[2]
+	lo, hi := span(k0*k1, m.workers, w)
+	for p := lo; p < hi; p++ {
+		base := p * k2
+		m.plans[2].transform(m.Re[base:base+k2], m.Im[base:base+k2], m.inverse)
+	}
+}
 
-	// z sweep: pencils are contiguous runs of length K2.
-	nz := k0 * k1
-	pool.Run(func(w int) {
-		lo, hi := span(nz, workers, w)
-		for p := lo; p < hi; p++ {
-			base := p * k2
-			m.plans[2].transform(m.Re[base:base+k2], m.Im[base:base+k2], inverse)
+// ySweep transforms worker w's share of the y pencils, which stride by
+// K2, through the worker's scratch.
+func (m *Mesh3) ySweep(w int) {
+	k0, k1, k2 := m.K[0], m.K[1], m.K[2]
+	lo, hi := span(k0*k2, m.workers, w)
+	sc := m.scratch[w]
+	re, im := sc[:k1], sc[k1:2*k1]
+	for p := lo; p < hi; p++ {
+		x, z := p/k2, p%k2
+		base := x*k1*k2 + z
+		for y := 0; y < k1; y++ {
+			re[y] = m.Re[base+y*k2]
+			im[y] = m.Im[base+y*k2]
 		}
-	})
-
-	// y sweep: pencils stride by K2; gather into per-worker scratch.
-	ny := k0 * k2
-	pool.Run(func(w int) {
-		lo, hi := span(ny, workers, w)
-		sc := m.scratch[w]
-		re, im := sc[:k1], sc[k1:2*k1]
-		for p := lo; p < hi; p++ {
-			x, z := p/k2, p%k2
-			base := x*k1*k2 + z
-			for y := 0; y < k1; y++ {
-				re[y] = m.Re[base+y*k2]
-				im[y] = m.Im[base+y*k2]
-			}
-			m.plans[1].transform(re, im, inverse)
-			for y := 0; y < k1; y++ {
-				m.Re[base+y*k2] = re[y]
-				m.Im[base+y*k2] = im[y]
-			}
+		m.plans[1].transform(re, im, m.inverse)
+		for y := 0; y < k1; y++ {
+			m.Re[base+y*k2] = re[y]
+			m.Im[base+y*k2] = im[y]
 		}
-	})
+	}
+}
 
-	// x sweep: pencils stride by K1·K2.
-	nx := k1 * k2
+// xSweep transforms worker w's share of the x pencils, which stride by
+// K1·K2, through the worker's scratch.
+func (m *Mesh3) xSweep(w int) {
+	k0, k1, k2 := m.K[0], m.K[1], m.K[2]
 	stride := k1 * k2
-	pool.Run(func(w int) {
-		lo, hi := span(nx, workers, w)
-		sc := m.scratch[w]
-		re, im := sc[:k0], sc[k0:2*k0]
-		for p := lo; p < hi; p++ {
-			for x := 0; x < k0; x++ {
-				re[x] = m.Re[p+x*stride]
-				im[x] = m.Im[p+x*stride]
-			}
-			m.plans[0].transform(re, im, inverse)
-			for x := 0; x < k0; x++ {
-				m.Re[p+x*stride] = re[x]
-				m.Im[p+x*stride] = im[x]
-			}
+	lo, hi := span(k1*k2, m.workers, w)
+	sc := m.scratch[w]
+	re, im := sc[:k0], sc[k0:2*k0]
+	for p := lo; p < hi; p++ {
+		for x := 0; x < k0; x++ {
+			re[x] = m.Re[p+x*stride]
+			im[x] = m.Im[p+x*stride]
 		}
-	})
+		m.plans[0].transform(re, im, m.inverse)
+		for x := 0; x < k0; x++ {
+			m.Re[p+x*stride] = re[x]
+			m.Im[p+x*stride] = im[x]
+		}
+	}
 }
 
 // NextPow2 returns the smallest power of two ≥ n (and ≥ 2).

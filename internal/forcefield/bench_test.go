@@ -167,12 +167,16 @@ func BenchmarkNonbondedClusterEwald(b *testing.B) {
 }
 
 func BenchmarkNonbondedClusterTab(b *testing.B) {
+	// The 8×8 entries run the pure-Go loop; the 4×4 entries are the
+	// production (md-pme) shape, which takes the table lane kernel on
+	// AVX2 hosts.
 	for _, bench := range []struct {
 		name string
 		beta float64
-	}{{"shifted", 0}, {"ewald", 0.35}} {
+		m, n int
+	}{{"shifted", 0, 8, 8}, {"ewald", 0.35, 8, 8}, {"shifted-4x4", 0, 4, 4}, {"ewald-4x4", 0.35, 4, 4}} {
 		b.Run(bench.name, func(b *testing.B) {
-			p, l, d, ics, fx, fy, fz, pairs := clusterBenchSetup(b, 8, 8)
+			p, l, d, ics, fx, fy, fz, pairs := clusterBenchSetup(b, bench.m, bench.n)
 			if bench.beta > 0 {
 				p = p.WithEwald(bench.beta)
 			}

@@ -127,7 +127,7 @@ func (d *ClusterData) LoadPositions(l *spatial.ClusterList, pos []vec.V3) {
 // kernel (lanes.go), which is bitwise identical to the pure-Go loop;
 // ClusterKernelPath names the path a list takes.
 func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
-	if useLanes(l.N, p.EwaldBeta) {
+	if useLanes(l.N, p.EwaldBeta, false) {
 		laneCalls.Add(1)
 		return p.nonbondedClusterLanes(l, d, ics, fx, fy, fz)
 	}

@@ -23,8 +23,32 @@ import (
 // returning the summed vdW energy, electrostatic energy, and pair
 // virial. tab must have been built from p (after any WithEwald swap);
 // a mismatch panics.
+//
+// On AVX2 hosts, N = 4 lists run on the table lane kernel (lanes.go),
+// which is bitwise identical to the pure-Go loop; ClusterKernelPath
+// names the path a list takes.
 func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	tab.checkParams(p)
+	if useLanes(l.N, p.EwaldBeta, true) {
+		laneCalls.Add(1)
+		return p.nonbondedClusterTabLanes(tab, l, d, ics, fx, fy, fz)
+	}
+	return p.nonbondedClusterTabGo(tab, l, d, ics, fx, fy, fz)
+}
+
+// NonbondedClusterTabRef evaluates like NonbondedClusterTab but always on
+// the pure-Go loop, whatever path NonbondedClusterTab dispatches to: the
+// bitwise reference the engines' reference-kernel switch runs in table
+// mode.
+func (p *Params) NonbondedClusterTabRef(tab *InteractionTable, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
+	tab.checkParams(p)
+	return p.nonbondedClusterTabGo(tab, l, d, ics, fx, fy, fz)
+}
+
+// nonbondedClusterTabGo is the pure-Go NonbondedClusterTab loop: the
+// fallback for every list the table lane kernel does not take, and its
+// bitwise reference.
+func (p *Params) nonbondedClusterTabGo(tab *InteractionTable, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	rc2 := tab.Cutoff2
 	invH := tab.InvSpacing
 	halfH := tab.HalfSpacing

@@ -4,11 +4,16 @@ package forcefield
 // CPUID/XGETBV at package init.
 var haveLanes = cpuHasAVX2()
 
-// clusterLanesAVX2 runs the lane kernel over the entry run k.ent[:k.nent]
-// of one staged i-cluster (lanes_amd64.s).
+// clusterLanesAVX2 runs the analytic lane kernel over the entry run
+// k.ent[:k.nent] of one staged i-cluster (lanes_amd64.s).
 //
 //go:noescape
 func clusterLanesAVX2(k *laneArgs)
+
+// clusterTabLanesAVX2 is clusterLanesAVX2 for the table lane kernel.
+//
+//go:noescape
+func clusterTabLanesAVX2(k *laneArgs)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

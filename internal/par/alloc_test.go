@@ -2,7 +2,9 @@ package par
 
 import (
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"gonamd/internal/forcefield"
 	"gonamd/internal/molgen"
@@ -189,40 +191,97 @@ func TestStepClusterZeroAllocsTraced(t *testing.T) {
 // parallel. This one counts heap allocations with runtime.ReadMemStats
 // around steady-state cluster steps at GOMAXPROCS ≥ 2 (the host's CPU
 // count when larger), on the fp64 kernel, including its lane kernel
-// operand block, which must stay on the worker's stack.
+// operand block, which must stay on the worker's stack; and on the 4×4
+// PME + tabulated configuration over a window that crosses MTS
+// boundaries, so reciprocal evaluations (spline, spread, FFT sweeps,
+// convolution, gather on the worker pool) are counted too.
 func TestStepClusterZeroAllocsGOMAXPROCS(t *testing.T) {
 	procs := max(runtime.NumCPU(), 2)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
-	if err != nil {
-		t.Fatal(err)
+	for _, pmeTab := range []bool{false, true} {
+		sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff := forcefield.Standard(7.0)
+		e, err := New(sys, ff, st, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RebalanceEvery = 0
+		if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		const mts = 4
+		if pmeTab {
+			if err := EnableFullElectrostatics(e, 1.0, 0.45, mts); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.EnableTabulatedKernels(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A longer warm-up than the gates above, then a pre-grown pool of
+		// the runtime's wait records. With the goroutines truly
+		// parallel, the step's WaitGroup waits and the workers' channel
+		// receives draw sudogs from one P's cache and return them to
+		// another's, and the runtime allocates a fresh one whenever the
+		// drawing P's cache and the shared one are both empty. That is
+		// runtime warm-up, not engine allocation, and under the race
+		// detector's randomized scheduler the caches random-walk, so
+		// step warm-up alone can take thousands of waits to saturate
+		// them; warmSudogs fills them directly.
+		for i := 0; i < 300; i++ {
+			e.Step(0.5)
+		}
+		warmSudogs()
+		for i := 0; i < 20; i++ {
+			e.Step(0.5)
+		}
+		const steps = 20 // five MTS periods
+		evals := 0
+		if pmeTab {
+			evals = e.pme.Evals
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < steps; i++ {
+			e.Step(0.5)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("pme+tab=%v GOMAXPROCS=%d: %d heap allocations over %d steady-state cluster steps, want 0", pmeTab, procs, n, steps)
+		}
+		if pmeTab {
+			if n := e.pme.Evals - evals; n != steps/mts {
+				t.Fatalf("window ran %d reciprocal evaluations, want %d", n, steps/mts)
+			}
+		}
 	}
-	ff := forcefield.Standard(7.0)
-	e, err := New(sys, ff, st, procs)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// warmSudogs grows the runtime's pool of sudogs (the records a blocked
+// goroutine waits on) past what its per-P caches can hold: it collects
+// first, since a GC empties the shared cache, then parks many goroutines
+// at once and releases them, so their sudogs spill into the shared
+// cache. Nothing afterwards allocates, so no GC starts to empty it
+// again.
+func warmSudogs() {
+	runtime.GC()
+	const n = 1024
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	ready.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			ready.Done()
+			<-release
+		}()
 	}
-	e.RebalanceEvery = 0
-	if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	// A longer warm-up than the gates above. With the goroutines truly
-	// parallel, the step's WaitGroup waits draw the runtime's sudogs
-	// from one P's cache and return them to another's, and the runtime
-	// allocates fresh ones until a full per-P cache spills to the shared
-	// one (up to ~128 waits after a GC empties it). That is runtime
-	// warm-up, not engine allocation.
-	for i := 0; i < 300; i++ {
-		e.Step(0.5)
-	}
-	const steps = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < steps; i++ {
-		e.Step(0.5)
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("GOMAXPROCS=%d: %d heap allocations over %d steady-state cluster steps, want 0", procs, n, steps)
-	}
+	ready.Wait()
+	time.Sleep(20 * time.Millisecond) // let the last ones park on release
+	close(release)
+	done.Wait()
 }

@@ -120,8 +120,9 @@ func (e *Engine) EnableTabulatedKernels(spacing float64) error {
 }
 
 // UseReferenceClusterKernel toggles evaluation through the scalar-replay
-// reference kernel (forcefield.NonbondedClusterRef) instead of the
-// optimized one; differential tests use it to prove the optimized kernel
+// reference kernel (forcefield.NonbondedClusterRef, or in table mode the
+// pure-Go forcefield.NonbondedClusterTabRef) instead of the optimized
+// one; differential tests use it to prove the optimized kernel
 // bitwise-identical through the full engine pipeline. Ignored in
 // mixed-precision mode (the reference is float64-only).
 func (e *Engine) UseReferenceClusterKernel(on bool) {
@@ -265,6 +266,8 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 	switch {
 	case c.tab != nil && c.mixed:
 		evdw, eelec, vir = e.FF.NonbondedClusterTab32(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
+	case c.tab != nil && c.useRef:
+		evdw, eelec, vir = e.FF.NonbondedClusterTabRef(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	case c.tab != nil:
 		evdw, eelec, vir = e.FF.NonbondedClusterTab(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	case c.mixed:

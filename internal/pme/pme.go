@@ -57,6 +57,17 @@ type Recip struct {
 	// result is independent of how workers split the convolution.
 	planeE []float64
 	planeV []float64
+
+	// The current Compute's operands and worker count, read by the pool
+	// bodies below. The bodies are bound once as method values so a
+	// reciprocal evaluation hands the pool preallocated funcs instead of
+	// allocating a closure per phase.
+	pos     []vec.V3
+	q       []float64
+	f       []vec.V3
+	workers int
+
+	splineFn, spreadFn, convolveFn, gatherFn func(w int)
 }
 
 // NewRecip builds a reciprocal-space solver with mesh dimensions chosen
@@ -92,6 +103,8 @@ func NewRecipK(box vec.V3, k [3]int, beta float64) (*Recip, error) {
 		return nil, err
 	}
 	r := &Recip{Beta: beta, K: k, Box: box, mesh: mesh}
+	r.splineFn, r.spreadFn = r.splinePhase, r.spread
+	r.convolveFn, r.gatherFn = r.convolve, r.gather
 	r.buildInfluence()
 	r.planeE = make([]float64, k[0])
 	r.planeV = make([]float64, k[0])
@@ -184,168 +197,184 @@ func (r *Recip) ensureAtomCaches(n int) {
 // have len(pos) entries; the returned energy and virial are in kcal/mol.
 // Results are bitwise identical for any pool worker count.
 func (r *Recip) Compute(pos []vec.V3, q []float64, f []vec.V3, pool fft.Pool) (energy, virial float64) {
-	n := len(pos)
-	r.ensureAtomCaches(n)
-	workers := pool.Workers()
-	k0, k1, k2 := r.K[0], r.K[1], r.K[2]
+	r.ensureAtomCaches(len(pos))
+	r.pos, r.q, r.f, r.workers = pos, q, f, pool.Workers()
 
-	// Per-atom spline phase: fractional mesh coordinate, stencil base,
-	// weights and derivatives. Independent per atom.
-	pool.Run(func(w int) {
-		lo, hi := span(n, workers, w)
-		for i := lo; i < hi; i++ {
-			for d := 0; d < 3; d++ {
-				u := pos[i].Comp(d) / r.Box.Comp(d) * float64(r.K[d])
-				fl := math.Floor(u)
-				t := u - fl
-				b := int32(fl) - (order - 1)
-				kd := int32(r.K[d])
-				b %= kd
-				if b < 0 {
-					b += kd
-				}
-				r.base[i][d] = b
-				spline4(t, &r.wgt[i][d], &r.dwgt[i][d])
-			}
-		}
-	})
-
-	// Spread: each worker owns a contiguous range of mesh x-slabs and
-	// scans all atoms in index order, depositing only the stencil rows
-	// that fall in its range. Each mesh point is therefore written by
-	// exactly one worker with a fixed, worker-count-independent
-	// accumulation order.
+	pool.Run(r.splineFn)
 	r.mesh.Clear()
-	pool.Run(func(w int) {
-		xlo, xhi := span(k0, workers, w)
-		if xlo == xhi {
-			return
-		}
-		re := r.mesh.Re
-		for i := 0; i < n; i++ {
-			qi := q[i]
-			if qi == 0 {
-				continue
-			}
-			bx := int(r.base[i][0])
-			for a := 0; a < order; a++ {
-				x := bx + a
-				if x >= k0 {
-					x -= k0
-				}
-				if x < xlo || x >= xhi {
-					continue
-				}
-				wx := qi * r.wgt[i][0][a]
-				by := int(r.base[i][1])
-				bz := int(r.base[i][2])
-				rowBase := x * k1 * k2
-				for b := 0; b < order; b++ {
-					y := by + b
-					if y >= k1 {
-						y -= k1
-					}
-					wxy := wx * r.wgt[i][1][b]
-					rb := rowBase + y*k2
-					for c := 0; c < order; c++ {
-						z := bz + c
-						if z >= k2 {
-							z -= k2
-						}
-						re[rb+z] += wxy * r.wgt[i][2][c]
-					}
-				}
-			}
-		}
-	})
+	pool.Run(r.spreadFn)
 
 	// Forward transform, convolution with the influence function, and
 	// inverse transform. Energy and virial accumulate per x-plane into
 	// fixed slots, summed serially below.
 	r.mesh.Forward(pool)
-	scale := units.Coulomb / 2
-	pi2OverBeta2 := math.Pi * math.Pi / (r.Beta * r.Beta)
-	pool.Run(func(w int) {
-		xlo, xhi := span(k0, workers, w)
-		re, im := r.mesh.Re, r.mesh.Im
-		for x := xlo; x < xhi; x++ {
-			var pe, pv float64
-			idx := x * k1 * k2
-			for y := 0; y < k1; y++ {
-				m2xy := r.mhat2[0][x] + r.mhat2[1][y]
-				for z := 0; z < k2; z++ {
-					g := r.infl[idx]
-					if g != 0 {
-						em := scale * g * (re[idx]*re[idx] + im[idx]*im[idx])
-						m2 := m2xy + r.mhat2[2][z]
-						pe += em
-						pv += em * (1 - 2*pi2OverBeta2*m2)
-					}
-					re[idx] *= g
-					im[idx] *= g
-					idx++
-				}
-			}
-			r.planeE[x] = pe
-			r.planeV[x] = pv
-		}
-	})
-	for x := 0; x < k0; x++ {
+	pool.Run(r.convolveFn)
+	for x := 0; x < r.K[0]; x++ {
 		energy += r.planeE[x]
 		virial += r.planeV[x]
 	}
 	r.mesh.Inverse(pool)
 
-	// Gather: F_i = -q_i Σ_stencil ∇W_i · conv. With the unnormalized DFT
-	// pair (forward e^{-2πi}, inverse e^{+2πi}, no 1/N), ∂E/∂Q(k) is
-	// exactly Coulomb·conv(k) — no mesh-size normalization appears.
-	// Per-atom, so worker-count independent.
+	pool.Run(r.gatherFn)
+	r.pos, r.q, r.f = nil, nil, nil
+	return energy, virial
+}
+
+// splinePhase is Compute's per-atom spline phase for worker w:
+// fractional mesh coordinate, stencil base, weights and derivatives.
+// Independent per atom.
+func (r *Recip) splinePhase(w int) {
+	pos := r.pos
+	lo, hi := span(len(pos), r.workers, w)
+	for i := lo; i < hi; i++ {
+		for d := 0; d < 3; d++ {
+			u := pos[i].Comp(d) / r.Box.Comp(d) * float64(r.K[d])
+			fl := math.Floor(u)
+			t := u - fl
+			b := int32(fl) - (order - 1)
+			kd := int32(r.K[d])
+			b %= kd
+			if b < 0 {
+				b += kd
+			}
+			r.base[i][d] = b
+			spline4(t, &r.wgt[i][d], &r.dwgt[i][d])
+		}
+	}
+}
+
+// spread is Compute's charge spreading for worker w: each worker owns a
+// contiguous range of mesh x-slabs and scans all atoms in index order,
+// depositing only the stencil rows that fall in its range. Each mesh
+// point is therefore written by exactly one worker with a fixed,
+// worker-count-independent accumulation order.
+func (r *Recip) spread(w int) {
+	k0, k1, k2 := r.K[0], r.K[1], r.K[2]
+	xlo, xhi := span(k0, r.workers, w)
+	if xlo == xhi {
+		return
+	}
+	q := r.q
+	re := r.mesh.Re
+	for i := range r.pos {
+		qi := q[i]
+		if qi == 0 {
+			continue
+		}
+		bx := int(r.base[i][0])
+		for a := 0; a < order; a++ {
+			x := bx + a
+			if x >= k0 {
+				x -= k0
+			}
+			if x < xlo || x >= xhi {
+				continue
+			}
+			wx := qi * r.wgt[i][0][a]
+			by := int(r.base[i][1])
+			bz := int(r.base[i][2])
+			rowBase := x * k1 * k2
+			for b := 0; b < order; b++ {
+				y := by + b
+				if y >= k1 {
+					y -= k1
+				}
+				wxy := wx * r.wgt[i][1][b]
+				rb := rowBase + y*k2
+				for c := 0; c < order; c++ {
+					z := bz + c
+					if z >= k2 {
+						z -= k2
+					}
+					re[rb+z] += wxy * r.wgt[i][2][c]
+				}
+			}
+		}
+	}
+}
+
+// convolve is Compute's convolution with the influence function for
+// worker w, over its x-planes of the forward-transformed mesh, with the
+// per-plane energy and virial partials.
+func (r *Recip) convolve(w int) {
+	k0, k1, k2 := r.K[0], r.K[1], r.K[2]
+	scale := units.Coulomb / 2
+	pi2OverBeta2 := math.Pi * math.Pi / (r.Beta * r.Beta)
+	xlo, xhi := span(k0, r.workers, w)
+	re, im := r.mesh.Re, r.mesh.Im
+	for x := xlo; x < xhi; x++ {
+		var pe, pv float64
+		idx := x * k1 * k2
+		for y := 0; y < k1; y++ {
+			m2xy := r.mhat2[0][x] + r.mhat2[1][y]
+			for z := 0; z < k2; z++ {
+				g := r.infl[idx]
+				if g != 0 {
+					em := scale * g * (re[idx]*re[idx] + im[idx]*im[idx])
+					m2 := m2xy + r.mhat2[2][z]
+					pe += em
+					pv += em * (1 - 2*pi2OverBeta2*m2)
+				}
+				re[idx] *= g
+				im[idx] *= g
+				idx++
+			}
+		}
+		r.planeE[x] = pe
+		r.planeV[x] = pv
+	}
+}
+
+// gather is Compute's force gather for worker w: F_i = -q_i Σ_stencil
+// ∇W_i · conv. With the unnormalized DFT pair (forward e^{-2πi}, inverse
+// e^{+2πi}, no 1/N), ∂E/∂Q(k) is exactly Coulomb·conv(k) — no mesh-size
+// normalization appears. Per-atom, so worker-count independent.
+func (r *Recip) gather(w int) {
+	k0, k1, k2 := r.K[0], r.K[1], r.K[2]
 	gscale := units.Coulomb
 	sx := float64(k0) / r.Box.X
 	sy := float64(k1) / r.Box.Y
 	sz := float64(k2) / r.Box.Z
-	pool.Run(func(w int) {
-		lo, hi := span(n, workers, w)
-		re := r.mesh.Re
-		for i := lo; i < hi; i++ {
-			qi := q[i]
-			if qi == 0 {
-				f[i] = vec.Zero
-				continue
-			}
-			var fx, fy, fz float64
-			bx, by, bz := int(r.base[i][0]), int(r.base[i][1]), int(r.base[i][2])
-			for a := 0; a < order; a++ {
-				x := bx + a
-				if x >= k0 {
-					x -= k0
-				}
-				wx, dx := r.wgt[i][0][a], r.dwgt[i][0][a]
-				rowBase := x * k1 * k2
-				for b := 0; b < order; b++ {
-					y := by + b
-					if y >= k1 {
-						y -= k1
-					}
-					wy, dy := r.wgt[i][1][b], r.dwgt[i][1][b]
-					rb := rowBase + y*k2
-					for c := 0; c < order; c++ {
-						z := bz + c
-						if z >= k2 {
-							z -= k2
-						}
-						wz, dz := r.wgt[i][2][c], r.dwgt[i][2][c]
-						v := re[rb+z]
-						fx += dx * wy * wz * v
-						fy += wx * dy * wz * v
-						fz += wx * wy * dz * v
-					}
-				}
-			}
-			f[i] = vec.New(-qi*gscale*fx*sx, -qi*gscale*fy*sy, -qi*gscale*fz*sz)
+	q, f := r.q, r.f
+	lo, hi := span(len(r.pos), r.workers, w)
+	re := r.mesh.Re
+	for i := lo; i < hi; i++ {
+		qi := q[i]
+		if qi == 0 {
+			f[i] = vec.Zero
+			continue
 		}
-	})
-	return energy, virial
+		var fx, fy, fz float64
+		bx, by, bz := int(r.base[i][0]), int(r.base[i][1]), int(r.base[i][2])
+		for a := 0; a < order; a++ {
+			x := bx + a
+			if x >= k0 {
+				x -= k0
+			}
+			wx, dx := r.wgt[i][0][a], r.dwgt[i][0][a]
+			rowBase := x * k1 * k2
+			for b := 0; b < order; b++ {
+				y := by + b
+				if y >= k1 {
+					y -= k1
+				}
+				wy, dy := r.wgt[i][1][b], r.dwgt[i][1][b]
+				rb := rowBase + y*k2
+				for c := 0; c < order; c++ {
+					z := bz + c
+					if z >= k2 {
+						z -= k2
+					}
+					wz, dz := r.wgt[i][2][c], r.dwgt[i][2][c]
+					v := re[rb+z]
+					fx += dx * wy * wz * v
+					fy += wx * dy * wz * v
+					fz += wx * wy * dz * v
+				}
+			}
+		}
+		f[i] = vec.New(-qi*gscale*fx*sx, -qi*gscale*fy*sy, -qi*gscale*fz*sz)
+	}
 }
 
 // span mirrors fft's contiguous partition (kept local to avoid exporting

@@ -20,16 +20,16 @@ const DefaultClusterSkin = 1.5
 // skin/2 drift rule shared with the other list modes.
 type clusterState struct {
 	skin    float64
-	mixed   bool                          // float32 fast path
-	useRef  bool                          // evaluate via the scalar-replay reference kernel (tests)
-	tab     *forcefield.InteractionTable  // tabulated kernels when non-nil
+	mixed   bool                         // float32 fast path
+	useRef  bool                         // evaluate via the scalar-replay reference kernel (tests)
+	tab     *forcefield.InteractionTable // tabulated kernels when non-nil
 	builder *spatial.ClusterBuilder
 	list    *spatial.ClusterList
 	data    forcefield.ClusterData
 	exclFn  func(func(i, j int32, modified bool)) // bound once; rebuilds allocate nothing
 
 	fxs, fys, fzs []float64 // slot-indexed force accumulators
-	ics           []int32  // identity i-cluster order (seq evaluates all)
+	ics           []int32   // identity i-cluster order (seq evaluates all)
 
 	// Atom-indexed kernel inputs, extracted once from the topology.
 	types   []int32
@@ -100,8 +100,9 @@ func (e *Engine) EnableTabulatedKernels(spacing float64) error {
 var ErrTabNeedsClusters = errors.New("gonamd: tabulated kernels require cluster lists (enable cluster lists first)")
 
 // UseReferenceClusterKernel toggles evaluation through the scalar-replay
-// reference kernel (forcefield.NonbondedClusterRef) instead of the
-// optimized one. Differential tests use it to prove the optimized kernel
+// reference kernel (forcefield.NonbondedClusterRef, or in table mode the
+// pure-Go forcefield.NonbondedClusterTabRef) instead of the optimized
+// one. Differential tests use it to prove the optimized kernel
 // bitwise-identical through the full engine pipeline. It is ignored in
 // mixed-precision mode (the reference is float64-only).
 func (e *Engine) UseReferenceClusterKernel(on bool) {
@@ -194,6 +195,8 @@ func (e *Engine) nonbondedFromClusters(en *Energies) {
 	switch {
 	case c.tab != nil && c.mixed:
 		evdw, eelec, vir = e.FF.NonbondedClusterTab32(c.tab, l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
+	case c.tab != nil && c.useRef:
+		evdw, eelec, vir = e.FF.NonbondedClusterTabRef(c.tab, l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
 	case c.tab != nil:
 		evdw, eelec, vir = e.FF.NonbondedClusterTab(c.tab, l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
 	case c.mixed:

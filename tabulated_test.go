@@ -1,6 +1,7 @@
 package gonamd_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -145,6 +146,9 @@ func TestClusterTabNVEDrift(t *testing.T) {
 // tabulated trajectory within reduction tolerance (the reduction order
 // differs across configurations, so cross-config identity is a
 // closeness statement, exactly as for the analytic cluster kernels).
+// The md-pme shape — 4×4 lists with PME and Ewald tables, on the table
+// lane kernel on AVX2 hosts — must in addition match the same pipeline
+// run on the pure-Go table loop bit for bit at every worker count.
 func TestClusterTabReproducible(t *testing.T) {
 	sys, st, ff := diffSystem(t)
 	const steps, dt = 10, 0.5
@@ -175,6 +179,33 @@ func TestClusterTabReproducible(t *testing.T) {
 		a, b := run(workers, false), run(workers, false)
 		if !reflect.DeepEqual(a.Pos, b.Pos) || !reflect.DeepEqual(a.Vel, b.Vel) {
 			t.Errorf("workers=%d: tabulated trajectory not bitwise reproducible", workers)
+		}
+	}
+	const beta = 0.45
+	run4x4 := func(workers int, ref bool) (*gonamd.State, gonamd.Energies) {
+		s := st.Clone()
+		eng, err := gonamd.NewParallel(sys, ff, s, workers,
+			gonamd.WithClusterLists(4, 4), gonamd.WithPME(1.0, beta, 4), gonamd.WithTabulatedKernels(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.UseReferenceClusterKernel(ref)
+		for i := 0; i < steps; i++ {
+			eng.Step(dt)
+		}
+		return s, eng.Energies()
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		ran := laneKernelCheck(t, 4, beta, true, fmt.Sprintf("4x4 workers=%d", workers))
+		a, enA := run4x4(workers, false)
+		b, _ := run4x4(workers, false)
+		ran()
+		if !reflect.DeepEqual(a.Pos, b.Pos) || !reflect.DeepEqual(a.Vel, b.Vel) {
+			t.Errorf("4x4 workers=%d: tabulated PME trajectory not bitwise reproducible", workers)
+		}
+		ref, enRef := run4x4(workers, true)
+		if !reflect.DeepEqual(a.Pos, ref.Pos) || !reflect.DeepEqual(a.Vel, ref.Vel) || enA != enRef {
+			t.Errorf("4x4 workers=%d: tabulated PME trajectory or energies differ from the pure-Go table loop's", workers)
 		}
 	}
 	for _, workers := range []int{0, 4} {
@@ -239,6 +270,7 @@ func TestClusterTabRebuildVsReplay(t *testing.T) {
 	}
 
 	run := func(name string, mk func(s *gonamd.State) clusterEngine) {
+		defer laneKernelCheck(t, 4, 0, true, name)()
 		aSt := st.Clone()
 		warm := mk(aSt)
 		warm.ComputeForces()
