@@ -47,7 +47,7 @@ metrics: vet
 # The chaos/conformance suite: fault injection, reliable delivery, and
 # checkpoint recovery, run twice (-count=2) to flush out any hidden
 # run-to-run nondeterminism in the seeded fault streams. The forcefield
-# and par packages carry the kernel/block-list differential tests; the
+# and par packages carry the kernel and engine differential tests; the
 # fft and pme packages carry the worker-count/repeat determinism tests
 # behind the bitwise-reproducible PME guarantee; the ldb package carries
 # the strategy property suite (never-worsen, validity, determinism).
@@ -83,9 +83,9 @@ fuzz:
 
 # The tracked performance suite: kernel benchmarks (ns/pair) and step
 # benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system —
-# including the full-electrostatics step (BenchmarkStepParPME) and the
-# cluster-pair steps in every numerical mode (BenchmarkStepParCluster*,
-# analytic/fp32/tabulated) — parsed into BENCH_6.json (see README,
+# including the cluster-pair steps in both numerical modes, with and
+# without full electrostatics (BenchmarkStepParCluster*, analytic and
+# tabulated) — parsed into BENCH_6.json (see README,
 # "Benchmark records"). The step benchmarks share a one-time ~92k-atom
 # build + minimize, so the run takes a few minutes.
 bench:
@@ -123,7 +123,7 @@ table-accuracy:
 # (versioned gonamd-projections schema) plus the text summary on stdout.
 # Rides alongside the BENCH_4.json artifacts from `make bench`.
 profile: build
-	$(GO) run ./cmd/mdrun -side 24 -steps 50 -workers 4 -skin 1.5 -trace PROFILE.trace.jsonl -profile
+	$(GO) run ./cmd/mdrun -side 24 -steps 50 -workers 4 -cluster 4x4 -trace PROFILE.trace.jsonl -profile
 	$(GO) run ./cmd/projections -json PROFILE.trace.jsonl > PROFILE.json
 	@echo "wrote PROFILE.trace.jsonl and PROFILE.json"
 

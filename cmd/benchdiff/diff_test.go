@@ -115,15 +115,16 @@ func TestLoadReportRejectsWrongSchema(t *testing.T) {
 
 // TestPinnedList: the named default pin list compiles to an anchored
 // regexp that matches exactly the listed hot-path benchmarks — cluster
-// and tabulated step pipelines included — and nothing else.
+// and tabulated step pipelines included — and nothing else: not the
+// retired pair-list, block-list and fp32 step benchmarks either.
 func TestPinnedList(t *testing.T) {
 	re := regexp.MustCompile("^(" + strings.Join(pinned, "|") + ")$")
 	for _, name := range []string{
 		"BenchmarkStepParCluster",
 		"BenchmarkStepParClusterTab",
-		"BenchmarkStepParClusterTabF32",
 		"BenchmarkStepParClusterPMETab",
-		"BenchmarkStepParMetrics",
+		"BenchmarkStepParClusterTraced",
+		"BenchmarkStepParClusterMetrics",
 		"BenchmarkNonbondedClusterTab/shifted",
 	} {
 		if !re.MatchString(name) {
@@ -133,8 +134,13 @@ func TestPinnedList(t *testing.T) {
 	for _, name := range []string{
 		"BenchmarkMDStep",
 		"BenchmarkStepParClusterTabulatedExtra",
-		"BenchmarkStepParMetricsExtra",
+		"BenchmarkStepParClusterMetricsExtra",
 		"BenchmarkNonbondedClusterTab/shifted/extra",
+		"BenchmarkStepSeq",
+		"BenchmarkStepPar",
+		"BenchmarkStepParPME",
+		"BenchmarkStepParClusterF32",
+		"BenchmarkStepParClusterTabF32",
 	} {
 		if re.MatchString(name) {
 			t.Errorf("%q unexpectedly pinned (list must stay anchored and named)", name)

@@ -21,21 +21,17 @@ import (
 )
 
 // pinned is the named list of hot-path benchmarks that may not regress:
-// the sequential and batched-parallel step pipelines, the cluster
-// pipeline in every numerical mode (analytic, fp32-mixed, tabulated),
-// and the full-electrostatics configurations. A name only participates
-// once both reports carry it, so pinning a benchmark here before the
-// next BENCH_<n>.json lands is safe.
+// the sequential and parallel cluster step pipelines in both numerical
+// modes (analytic, tabulated), with trace and telemetry attached, and
+// the full-electrostatics configurations. A name only participates once
+// both reports carry it, so pinning a benchmark here before the next
+// BENCH_<n>.json lands is safe.
 var pinned = []string{
-	"BenchmarkStepSeq",
 	"BenchmarkStepSeqCluster",
-	"BenchmarkStepPar",
-	"BenchmarkStepParMetrics",
-	"BenchmarkStepParPME",
 	"BenchmarkStepParCluster",
-	"BenchmarkStepParClusterF32",
+	"BenchmarkStepParClusterTraced",
+	"BenchmarkStepParClusterMetrics",
 	"BenchmarkStepParClusterTab",
-	"BenchmarkStepParClusterTabF32",
 	"BenchmarkStepParClusterPME",
 	"BenchmarkStepParClusterPMETab",
 	"BenchmarkNonbondedCluster/8x8",

@@ -47,10 +47,8 @@ func main() {
 	ckptPath := flag.String("ckpt", "", "write a final sysio snapshot here (reload with -in); also written on SIGINT/SIGTERM")
 	trajEvery := flag.Int("trajevery", 10, "write a trajectory frame every N steps")
 	shake := flag.Bool("shake", false, "constrain bonds to hydrogen (sequential engine; allows -dt 2)")
-	skin := flag.Float64("skin", 0, "Verlet list skin, Å (0 = off; seq pairlist / par block lists)")
-	cluster := flag.String("cluster", "", "M×N cluster pair lists, e.g. 4x4 or 4x8 (replaces -skin lists)")
-	f32 := flag.Bool("f32", false, "mixed-precision cluster kernels: float32 pair math, float64 reduction (requires -cluster)")
-	table := flag.Bool("table", false, "tabulated cluster kernels: r²-indexed interaction tables, no sqrt/erfc/exp in the pair loop (requires -cluster; combines with -f32)")
+	cluster := flag.String("cluster", "", "M×N cluster pair lists, e.g. 4x4 or 4x8 (default: cell walk every step)")
+	table := flag.Bool("table", false, "tabulated cluster kernels: r²-indexed interaction tables, no sqrt/erfc/exp in the pair loop (requires -cluster)")
 	tableSpacing := flag.Float64("table-spacing", 0, "interaction table grid spacing, Å² (0 = default resolution; requires -table)")
 	clusterSkin := flag.Float64("cluster-skin", 0, "cluster list skin override, Å (0 = default 1.5; requires -cluster)")
 	pme := flag.Bool("pme", false, "full electrostatics: smooth particle-mesh Ewald")
@@ -158,7 +156,7 @@ func main() {
 		*workers = -1 // constrained stepping runs on the sequential engine
 	}
 
-	// Option validation — skin/grid/MTS ranges and the -shake/-pme
+	// Option validation — cluster/grid/MTS ranges and the -shake/-pme
 	// exclusion — lives in the options layer; construction errors carry
 	// the explanation.
 	var tlog *gonamd.TraceLog
@@ -181,9 +179,6 @@ func main() {
 	}
 	if *clusterSkin > 0 {
 		opts = append(opts, gonamd.WithClusterSkin(*clusterSkin))
-	}
-	if *f32 {
-		opts = append(opts, gonamd.WithMixedPrecision())
 	}
 	if *table {
 		opts = append(opts, gonamd.WithTabulatedKernels(*tableSpacing))
@@ -210,9 +205,6 @@ func main() {
 		if *lb != "" {
 			log.Fatalf("-lb %s applies only to the parallel engine (drop -shake / use -workers ≥ 0)", *lb)
 		}
-		if *skin > 0 {
-			opts = append(opts, gonamd.WithPairlist(*skin))
-		}
 		if *shake {
 			opts = append(opts, gonamd.WithHBondConstraints())
 		}
@@ -226,9 +218,6 @@ func main() {
 		eng = e
 		fmt.Println("engine: sequential")
 	} else {
-		if *skin > 0 {
-			opts = append(opts, gonamd.WithBlockLists(*skin))
-		}
 		if *lb != "" {
 			opts = append(opts, gonamd.WithLoadBalancer(*lb))
 		}
@@ -242,9 +231,6 @@ func main() {
 			fmt.Printf("load balancer: %s\n", *lb)
 		}
 	}
-	if *skin > 0 {
-		fmt.Printf("verlet lists: skin %.2f Å\n", *skin)
-	}
 	var pmeBeta float64 // 0: cutoff electrostatics
 	if *pme {
 		pmeBeta = *ewaldBeta
@@ -254,22 +240,16 @@ func main() {
 	}
 	if *cluster != "" {
 		mode := "fp64"
-		if *f32 {
-			mode = "fp32-mixed"
-		}
 		if *table {
-			mode += "-tab"
+			mode = "fp64-tab"
 		}
 		skinVal := *clusterSkin
 		if skinVal == 0 {
 			skinVal = 1.5
 		}
-		// The fp64 kernels pick their implementation from the host CPU
-		// and the list width; the fp32 kernels are pure Go.
-		kernel := "go"
-		if !*f32 {
-			kernel = gonamd.ClusterKernelPath(clN, pmeBeta, *table)
-		}
+		// The kernels pick their implementation from the host CPU and
+		// the list width.
+		kernel := gonamd.ClusterKernelPath(clN, pmeBeta, *table)
 		fmt.Printf("cluster lists: %dx%d, skin %.2f Å, %s, kernel %s\n", clM, clN, skinVal, mode, kernel)
 	}
 	if *table {

@@ -36,11 +36,11 @@ func laneKernelCheck(t *testing.T, n int, ewaldBeta float64, tabulated bool, wha
 	}
 }
 
-// TestDifferentialForcesAcrossEngines: every engine configuration —
-// sequential direct, sequential with a Verlet pairlist, and the
-// parallel engine at 1/2/4/8 workers — must agree on forces and
-// energies for the same configuration within floating-point reduction
-// tolerance.
+// TestDifferentialForcesAcrossEngines: the cell walks of the sequential
+// engine and of the parallel engine at 1/2/4/8 workers must agree on
+// forces and energies for the same configuration within floating-point
+// reduction tolerance (TestDifferentialClusterForces covers the cluster
+// lists).
 func TestDifferentialForcesAcrossEngines(t *testing.T) {
 	sys, st, ff := diffSystem(t)
 
@@ -64,32 +64,18 @@ func TestDifferentialForcesAcrossEngines(t *testing.T) {
 		}
 	}
 
-	for _, skin := range []float64{1.0, 1.5} {
-		listed, err := gonamd.NewSequential(sys, ff, st.Clone(), gonamd.WithPairlist(skin))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("seq+pairlist", listed.ComputeForces(), listed.Forces())
-	}
-
 	for _, workers := range []int{1, 2, 4, 8} {
 		par, err := gonamd.NewParallel(sys, ff, st.Clone(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check("parallel", par.ComputeForces(), par.Forces())
-
-		blocked, err := gonamd.NewParallel(sys, ff, st.Clone(), workers, gonamd.WithBlockLists(1.5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("parallel+blocklists", blocked.ComputeForces(), blocked.Forces())
 	}
 }
 
 // TestDifferentialTrajectories: short dynamics must stay consistent
-// between the sequential engine (with and without pairlist) and the
-// parallel engine at several worker counts.
+// between the sequential engine (cell walk and cluster lists) and the
+// parallel engine (both paths) at several worker counts.
 func TestDifferentialTrajectories(t *testing.T) {
 	sys, st, ff := diffSystem(t)
 	const steps, dt = 10, 0.5
@@ -118,12 +104,12 @@ func TestDifferentialTrajectories(t *testing.T) {
 	}
 
 	listedSt := st.Clone()
-	listed, err := gonamd.NewSequential(sys, ff, listedSt, gonamd.WithPairlist(1.5))
+	listed, err := gonamd.NewSequential(sys, ff, listedSt, gonamd.WithClusterLists(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	listed.Run(steps, dt)
-	compare("seq+pairlist", listedSt.Pos, 1e-6)
+	compare("seq+clusters", listedSt.Pos, 1e-6)
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		parSt := st.Clone()
@@ -136,30 +122,31 @@ func TestDifferentialTrajectories(t *testing.T) {
 		}
 		compare("parallel", parSt.Pos, 1e-6)
 
-		blockedSt := st.Clone()
-		blocked, err := gonamd.NewParallel(sys, ff, blockedSt, workers, gonamd.WithBlockLists(1.5))
+		clSt := st.Clone()
+		cl, err := gonamd.NewParallel(sys, ff, clSt, workers, gonamd.WithClusterLists(4, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < steps; i++ {
-			blocked.Step(dt)
+			cl.Step(dt)
 		}
-		compare("parallel+blocklists", blockedSt.Pos, 1e-6)
+		compare("parallel+clusters", clSt.Pos, 1e-6)
 	}
 }
 
 // TestParallelBitwiseDeterminism: the parallel engine must be exactly
 // reproducible — two runs with the same worker count produce bitwise
-// identical positions and velocities, for every worker count.
+// identical positions and velocities, for every worker count, on both
+// the cell walk and the cluster lists.
 func TestParallelBitwiseDeterminism(t *testing.T) {
 	sys, st, ff := diffSystem(t)
 	const steps, dt = 10, 0.5
 	for _, workers := range []int{1, 2, 4, 8} {
-		run := func(blockLists bool) *gonamd.State {
+		run := func(clusters bool) *gonamd.State {
 			parSt := st.Clone()
 			var opts []gonamd.Option
-			if blockLists {
-				opts = append(opts, gonamd.WithBlockLists(1.5))
+			if clusters {
+				opts = append(opts, gonamd.WithClusterLists(4, 4))
 			}
 			par, err := gonamd.NewParallel(sys, ff, parSt, workers, opts...)
 			if err != nil {
@@ -170,13 +157,13 @@ func TestParallelBitwiseDeterminism(t *testing.T) {
 			}
 			return parSt
 		}
-		for _, blockLists := range []bool{false, true} {
-			a, b := run(blockLists), run(blockLists)
+		for _, clusters := range []bool{false, true} {
+			a, b := run(clusters), run(clusters)
 			if !reflect.DeepEqual(a.Pos, b.Pos) {
-				t.Errorf("%d workers (blockLists=%v): positions not bitwise reproducible", workers, blockLists)
+				t.Errorf("%d workers (clusters=%v): positions not bitwise reproducible", workers, clusters)
 			}
 			if !reflect.DeepEqual(a.Vel, b.Vel) {
-				t.Errorf("%d workers (blockLists=%v): velocities not bitwise reproducible", workers, blockLists)
+				t.Errorf("%d workers (clusters=%v): velocities not bitwise reproducible", workers, clusters)
 			}
 		}
 	}
@@ -335,65 +322,4 @@ func TestClusterRebuildVsReplay(t *testing.T) {
 		}
 		return e
 	})
-}
-
-// TestClusterMixedPrecisionReproducible: mixed-precision trajectories
-// must be bitwise reproducible run-to-run for a fixed configuration —
-// the within-mode half of the precision contract — on both engines and
-// across worker counts.
-func TestClusterMixedPrecisionReproducible(t *testing.T) {
-	sys, st, ff := diffSystem(t)
-	const steps, dt = 10, 0.5
-
-	run := func(workers int) *gonamd.State {
-		s := st.Clone()
-		var eng gonamd.Engine
-		var err error
-		if workers == 0 {
-			eng, err = gonamd.NewSequential(sys, ff, s,
-				gonamd.WithClusterLists(4, 4), gonamd.WithMixedPrecision())
-		} else {
-			eng, err = gonamd.NewParallel(sys, ff, s, workers,
-				gonamd.WithClusterLists(4, 4), gonamd.WithMixedPrecision())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < steps; i++ {
-			eng.Step(dt)
-		}
-		return s
-	}
-
-	for _, workers := range []int{0, 1, 4} {
-		a, b := run(workers), run(workers)
-		if !reflect.DeepEqual(a.Pos, b.Pos) || !reflect.DeepEqual(a.Vel, b.Vel) {
-			t.Errorf("workers=%d: mixed-precision trajectory not bitwise reproducible", workers)
-		}
-	}
-
-	// And mixed precision must still track the float64 trajectory
-	// closely over a short run (the cross-mode half of the contract:
-	// close, but not bitwise).
-	f64 := func() *gonamd.State {
-		s := st.Clone()
-		eng, err := gonamd.NewSequential(sys, ff, s, gonamd.WithClusterLists(4, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < steps; i++ {
-			eng.Step(dt)
-		}
-		return s
-	}()
-	mixed := run(0)
-	worst := 0.0
-	for i := range mixed.Pos {
-		if d := mixed.Pos[i].Sub(f64.Pos[i]).Norm(); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-3 {
-		t.Errorf("mixed-precision trajectory drifted %v Å from float64 in %d steps", worst, steps)
-	}
 }

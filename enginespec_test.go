@@ -26,7 +26,7 @@ func TestEngineSpecMatchesOptions(t *testing.T) {
 
 	raw := `{
 		"engine": "sequential",
-		"pairlist_skin": 1.0,
+		"cluster_m": 4, "cluster_n": 4,
 		"thermostat": {"kind": "langevin", "temperature": 310, "seed": 99}
 	}`
 	var spec gonamd.EngineSpec
@@ -44,7 +44,7 @@ func TestEngineSpecMatchesOptions(t *testing.T) {
 
 	stB := st.Clone()
 	optEng, err := gonamd.NewSequential(sys, ff, stB,
-		gonamd.WithPairlist(1.0),
+		gonamd.WithClusterLists(4, 4),
 		gonamd.WithThermostat(&gonamd.Langevin{Target: 310, Gamma: 0.005, Seed: 99}))
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,8 @@ func TestEngineSpecParallel(t *testing.T) {
 	spec := gonamd.EngineSpec{
 		Engine:         "parallel",
 		Workers:        2,
-		BlockListSkin:  1.0,
+		ClusterM:       4,
+		ClusterN:       4,
 		RebalanceEvery: &zero,
 	}
 	eng, th, err := spec.NewEngine(sys, ff, st.Clone())
@@ -126,7 +127,7 @@ func TestEngineSpecTabulated(t *testing.T) {
 	}
 }
 
-// TestEngineSpecPrecisionMode: the four numerical modes name themselves
+// TestEngineSpecPrecisionMode: the two numerical modes name themselves
 // distinctly — checkpoints record the string and services refuse to
 // resume across a change, so tabulation must be part of it.
 func TestEngineSpecPrecisionMode(t *testing.T) {
@@ -135,9 +136,8 @@ func TestEngineSpecPrecisionMode(t *testing.T) {
 		want string
 	}{
 		{gonamd.EngineSpec{}, "fp64"},
-		{gonamd.EngineSpec{MixedPrecision: true}, "fp32-mixed"},
 		{gonamd.EngineSpec{Tabulated: true}, "fp64-tab"},
-		{gonamd.EngineSpec{MixedPrecision: true, Tabulated: true}, "fp32-mixed-tab"},
+		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, Tabulated: true}, "fp64-tab"},
 	}
 	for _, c := range cases {
 		if got := c.spec.PrecisionMode(); got != c.want {
@@ -155,14 +155,12 @@ func TestEngineSpecRejections(t *testing.T) {
 		spec gonamd.EngineSpec
 	}{
 		{"unknown engine", gonamd.EngineSpec{Engine: "quantum"}},
-		{"pairlist on parallel", gonamd.EngineSpec{Engine: "par", PairlistSkin: 1}},
-		{"blocklists on sequential", gonamd.EngineSpec{BlockListSkin: 1}},
 		{"negative pme grid", gonamd.EngineSpec{PME: &gonamd.PMESpec{GridSpacing: -1}}},
 		{"unknown thermostat", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "maxwell", Temperature: 300}}},
 		{"cold thermostat", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "langevin"}}},
 		{"shake plus pme", gonamd.EngineSpec{HBondConstraints: true, PME: &gonamd.PMESpec{GridSpacing: 1}}},
 		{"tabulated without clusters", gonamd.EngineSpec{Tabulated: true}},
-		{"tabulated on blocklists", gonamd.EngineSpec{Engine: "par", BlockListSkin: 1, Tabulated: true}},
+		{"tabulated on the cell walk", gonamd.EngineSpec{Engine: "par", Tabulated: true}},
 		{"negative table spacing", gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, Tabulated: true, TableSpacing: -0.1}},
 	}
 	for _, c := range cases {

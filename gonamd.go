@@ -79,8 +79,8 @@ type (
 
 // Engines. Both satisfy the Engine interface and are configured at
 // construction with functional options: NewSequential(sys, ff, st,
-// WithPairlist(skin)), NewParallel(sys, ff, st, workers,
-// WithBlockLists(skin), WithPME(grid, beta, mts), WithTrace(log)), etc.
+// WithClusterLists(4, 4)), NewParallel(sys, ff, st, workers,
+// WithClusterLists(4, 4), WithPME(grid, beta, mts), WithTrace(log)), etc.
 type (
 	// Sequential is the single-threaded reference engine.
 	Sequential = seq.Engine
@@ -108,7 +108,7 @@ const DefaultTableBins = forcefield.DefaultTableBins
 // AVX2 hosts N = 4 lists take the table lane kernel for either
 // electrostatics, and the analytic lane kernel with cutoff
 // electrostatics. Both paths produce bitwise identical forces; there is
-// no option selecting one. The fp32-mixed kernels always run pure Go.
+// no option selecting one.
 func ClusterKernelPath(n int, ewaldBeta float64, tabulated bool) string {
 	return forcefield.ClusterKernelPath(n, ewaldBeta, tabulated)
 }

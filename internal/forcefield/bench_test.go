@@ -117,7 +117,6 @@ func clusterBenchSetup(b *testing.B, m, n int) (*Params, *spatial.ClusterList, *
 	}
 	l := builder.Build(pos, func(func(i, j int32, modified bool)) {})
 	d := &ClusterData{}
-	d.EnableF32(true)
 	d.LoadStatic(l, types, charges)
 	d.LoadPositions(l, pos)
 	ns := l.Slots()
@@ -194,33 +193,4 @@ func BenchmarkNonbondedClusterTab(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 		})
 	}
-}
-
-func BenchmarkNonbondedClusterTab32(b *testing.B) {
-	p, l, d, ics, fx, fy, fz, pairs := clusterBenchSetup(b, 8, 8)
-	pe := p.WithEwald(0.35)
-	tab, err := pe.BuildInteractionTable(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		evdw, eelec, vir := pe.NonbondedClusterTab32(tab, l, d, ics, fx, fy, fz)
-		acc += evdw + eelec + vir
-	}
-	_ = acc
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
-}
-
-func BenchmarkNonbondedCluster32(b *testing.B) {
-	p, l, d, ics, fx, fy, fz, pairs := clusterBenchSetup(b, 4, 4)
-	b.ResetTimer()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		evdw, eelec, vir := p.NonbondedCluster32(l, d, ics, fx, fy, fz)
-		acc += evdw + eelec + vir
-	}
-	_ = acc
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 }

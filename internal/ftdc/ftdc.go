@@ -81,21 +81,21 @@ type Sample struct {
 // runtime block (ReadMemStats + goroutine count) at sample cadence
 // only, so their cost never touches the step path.
 const (
-	FieldSteps = iota // cumulative completed steps
-	FieldStepsPerSec  // derived by the sampler from FieldSteps deltas
-	FieldNonbondedSec // cumulative nonbonded busy seconds
-	FieldBondedSec    // cumulative bonded busy seconds
-	FieldPMESec       // cumulative PME reciprocal busy seconds
-	FieldIntegrateSec // cumulative integration busy seconds
-	FieldCommSec      // cumulative reduction/communication busy seconds
-	FieldRebuilds     // cumulative pairlist/blocklist/cluster rebuilds
-	FieldImbalance    // load imbalance: max/mean worker load - 1 (0 for seq)
-	FieldQueueDepth   // scheduler queue depth for the job's tenant
-	FieldHeapAlloc    // runtime.MemStats.HeapAlloc, bytes
-	FieldTotalAlloc   // runtime.MemStats.TotalAlloc, bytes (cumulative)
-	FieldNumGC        // runtime.MemStats.NumGC (cumulative)
-	FieldGCPauseNs    // runtime.MemStats.PauseTotalNs (cumulative)
-	FieldGoroutines   // runtime.NumGoroutine()
+	FieldSteps        = iota // cumulative completed steps
+	FieldStepsPerSec         // derived by the sampler from FieldSteps deltas
+	FieldNonbondedSec        // cumulative nonbonded busy seconds
+	FieldBondedSec           // cumulative bonded busy seconds
+	FieldPMESec              // cumulative PME reciprocal busy seconds
+	FieldIntegrateSec        // cumulative integration busy seconds
+	FieldCommSec             // cumulative reduction/communication busy seconds
+	FieldRebuilds            // cumulative cluster-list rebuilds
+	FieldImbalance           // load imbalance: max/mean worker load - 1 (0 for seq)
+	FieldQueueDepth          // scheduler queue depth for the job's tenant
+	FieldHeapAlloc           // runtime.MemStats.HeapAlloc, bytes
+	FieldTotalAlloc          // runtime.MemStats.TotalAlloc, bytes (cumulative)
+	FieldNumGC               // runtime.MemStats.NumGC (cumulative)
+	FieldGCPauseNs           // runtime.MemStats.PauseTotalNs (cumulative)
+	FieldGoroutines          // runtime.NumGoroutine()
 	NumEngineFields
 )
 

@@ -11,10 +11,10 @@ import (
 	"gonamd/internal/trace"
 )
 
-// TestStepZeroAllocs guards the steady-state hot path: once the block
-// lists are built and the worker pool is up, a dynamics step must not
-// allocate. Regressions here (per-step goroutine spawns, batch or touch
-// list growth, rebinning scratch) show up as a nonzero count.
+// TestStepZeroAllocs guards the steady-state cell-walk hot path: once
+// the worker pool is up, a dynamics step must not allocate. Regressions
+// here (per-step goroutine spawns, batch or touch list growth,
+// rebinning scratch) show up as a nonzero count.
 func TestStepZeroAllocs(t *testing.T) {
 	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
 	if err != nil {
@@ -26,9 +26,6 @@ func TestStepZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := EnableBlockLists(e, 1.5); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
 		e.Step(0.5)
 	}
@@ -53,9 +50,6 @@ func TestStepZeroAllocsTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := EnableBlockLists(e, 1.5); err != nil {
-		t.Fatal(err)
-	}
 	l := trace.NewLog()
 	e.SetTrace(l)
 	for i := 0; i < 5; i++ {
@@ -69,10 +63,11 @@ func TestStepZeroAllocsTraced(t *testing.T) {
 	}
 }
 
-// TestStepPMEZeroAllocsRealSpace guards the PME hot path: on steps that
-// do not hit a reciprocal-evaluation boundary (the MTS period here is
-// longer than the measured window), a full-electrostatics dynamics step
-// runs entirely in the erfc real-space path and must not allocate.
+// TestStepPMEZeroAllocsRealSpace guards the PME hot path of the cell
+// walk: on steps that do not hit a reciprocal-evaluation boundary (the
+// MTS period here is longer than the measured window), a
+// full-electrostatics dynamics step runs entirely in the erfc
+// real-space path and must not allocate.
 func TestStepPMEZeroAllocsRealSpace(t *testing.T) {
 	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
 	if err != nil {
@@ -84,9 +79,6 @@ func TestStepPMEZeroAllocsRealSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := EnableBlockLists(e, 1.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := EnableFullElectrostatics(e, 1.0, 0.45, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -103,57 +95,53 @@ func TestStepPMEZeroAllocsRealSpace(t *testing.T) {
 // including list rebuilds, whose builder scratch, slot tables, and
 // worker slot buffers are all reused — must not allocate.
 func TestStepClusterZeroAllocs(t *testing.T) {
-	for _, mixed := range []bool{false, true} {
-		sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff := forcefield.Standard(7.0)
-		e, err := New(sys, ff, st, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.RebalanceEvery = 0
-		if err := e.EnableClusterLists(4, 4, 0, mixed); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			e.Step(0.5)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
-			t.Fatalf("mixed=%v: steady-state cluster Step allocates: %v allocs/step, want 0", mixed, allocs)
-		}
+	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := forcefield.Standard(7.0)
+	e, err := New(sys, ff, st, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RebalanceEvery = 0
+	if err := e.EnableClusterLists(4, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		e.Step(0.5)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
+		t.Fatalf("steady-state cluster Step allocates: %v allocs/step, want 0", allocs)
 	}
 }
 
 // TestStepClusterTabZeroAllocs guards the tabulated hot path: the
 // interaction table is built once at EnableTabulatedKernels and shared
-// read-only across workers, so steady-state tabulated steps — in both
-// float64 and fp32-mixed table modes — must not allocate.
+// read-only across workers, so steady-state tabulated steps must not
+// allocate.
 func TestStepClusterTabZeroAllocs(t *testing.T) {
-	for _, mixed := range []bool{false, true} {
-		sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff := forcefield.Standard(7.0)
-		e, err := New(sys, ff, st, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.RebalanceEvery = 0
-		if err := e.EnableClusterLists(4, 4, 0, mixed); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.EnableTabulatedKernels(0); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			e.Step(0.5)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
-			t.Fatalf("mixed=%v: steady-state tabulated Step allocates: %v allocs/step, want 0", mixed, allocs)
-		}
+	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := forcefield.Standard(7.0)
+	e, err := New(sys, ff, st, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RebalanceEvery = 0
+	if err := e.EnableClusterLists(4, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableTabulatedKernels(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		e.Step(0.5)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
+		t.Fatalf("steady-state tabulated Step allocates: %v allocs/step, want 0", allocs)
 	}
 }
 
@@ -170,7 +158,7 @@ func TestStepClusterZeroAllocsTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
+	if err := e.EnableClusterLists(4, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	l := trace.NewLog()
@@ -189,16 +177,20 @@ func TestStepClusterZeroAllocsTraced(t *testing.T) {
 // TestStepClusterZeroAllocsGOMAXPROCS: testing.AllocsPerRun pins
 // GOMAXPROCS to 1, so the gates above never run the workers truly in
 // parallel. This one counts heap allocations with runtime.ReadMemStats
-// around steady-state cluster steps at GOMAXPROCS ≥ 2 (the host's CPU
-// count when larger), on the fp64 kernel, including its lane kernel
-// operand block, which must stay on the worker's stack; and on the 4×4
-// PME + tabulated configuration over a window that crosses MTS
-// boundaries, so reciprocal evaluations (spline, spread, FFT sweeps,
-// convolution, gather on the worker pool) are counted too.
+// around steady-state steps at GOMAXPROCS ≥ 2 (the host's CPU count
+// when larger), on both nonbonded paths: the fp64 cluster kernel,
+// including its lane kernel operand block, which must stay on the
+// worker's stack, and the cell walk's batched kernel. Each path runs
+// with cutoff electrostatics and with PME (the cluster path on the 4×4
+// tabulated kernel) over a window that crosses MTS boundaries, so
+// reciprocal evaluations (spline, spread, FFT sweeps, convolution,
+// gather on the worker pool) are counted too.
 func TestStepClusterZeroAllocsGOMAXPROCS(t *testing.T) {
 	procs := max(runtime.NumCPU(), 2)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	for _, pmeTab := range []bool{false, true} {
+	for _, c := range []struct {
+		clusters, pme bool
+	}{{true, false}, {true, true}, {false, false}, {false, true}} {
 		sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
 		if err != nil {
 			t.Fatal(err)
@@ -209,16 +201,20 @@ func TestStepClusterZeroAllocsGOMAXPROCS(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.RebalanceEvery = 0
-		if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
-			t.Fatal(err)
+		if c.clusters {
+			if err := e.EnableClusterLists(4, 4, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		const mts = 4
-		if pmeTab {
+		if c.pme {
 			if err := EnableFullElectrostatics(e, 1.0, 0.45, mts); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.EnableTabulatedKernels(0); err != nil {
-				t.Fatal(err)
+			if c.clusters {
+				if err := e.EnableTabulatedKernels(0); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		// A longer warm-up than the gates above, then a pre-grown pool of
@@ -240,7 +236,7 @@ func TestStepClusterZeroAllocsGOMAXPROCS(t *testing.T) {
 		}
 		const steps = 20 // five MTS periods
 		evals := 0
-		if pmeTab {
+		if c.pme {
 			evals = e.pme.Evals
 		}
 		var before, after runtime.MemStats
@@ -250,9 +246,10 @@ func TestStepClusterZeroAllocsGOMAXPROCS(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Fatalf("pme+tab=%v GOMAXPROCS=%d: %d heap allocations over %d steady-state cluster steps, want 0", pmeTab, procs, n, steps)
+			t.Fatalf("clusters=%v pme=%v GOMAXPROCS=%d: %d heap allocations over %d steady-state steps, want 0",
+				c.clusters, c.pme, procs, n, steps)
 		}
-		if pmeTab {
+		if c.pme {
 			if n := e.pme.Evals - evals; n != steps/mts {
 				t.Fatalf("window ran %d reciprocal evaluations, want %d", n, steps/mts)
 			}

@@ -1,6 +1,8 @@
 package par
 
 import (
+	"math"
+
 	"gonamd/internal/forcefield"
 	"gonamd/internal/seq"
 	"gonamd/internal/spatial"
@@ -8,9 +10,9 @@ import (
 )
 
 // Cluster pair lists on the parallel engine: one global M×N cluster list
-// (spatial.ClusterBuilder) replaces the per-task Verlet block lists. The
-// driver rebuilds the list under the same skin/2 drift rule (shared
-// guard/refPos machinery), assigns each i-cluster to the spatial cell
+// (spatial.ClusterBuilder) replaces the cell walk's per-task candidate
+// screening. The driver rebuilds the list under the skin/2 drift rule
+// (spatial.DriftGuard), assigns each i-cluster to the spatial cell
 // containing its bounding-box center, and nonbonded work decomposes into
 // one task per cell covering that cell's contiguous run of the
 // cell-grouped cluster order — so the measured-task-time load balancers
@@ -24,13 +26,13 @@ import (
 
 // parClusterState is the engine-side state of cluster-mode evaluation.
 type parClusterState struct {
-	mixed   bool                         // float32 fast path
 	useRef  bool                         // evaluate via the scalar-replay reference kernel (tests)
 	tab     *forcefield.InteractionTable // tabulated kernels when non-nil
 	builder *spatial.ClusterBuilder
 	list    *spatial.ClusterList
 	data    forcefield.ClusterData
 	exclFn  func(func(i, j int32, modified bool)) // bound once; rebuilds allocate nothing
+	guard   spatial.DriftGuard                    // skin/2 drift rule; counts builds, scans, skips
 
 	// Atom-indexed kernel inputs, extracted once from the topology.
 	types   []int32
@@ -46,16 +48,15 @@ type parClusterState struct {
 
 // EnableClusterLists switches the engine's nonbonded evaluation to M×N
 // cluster pair lists with the given skin (Å; ≤ 0 selects the default),
-// rebuilt under the same skin/2 drift rule as the block lists. mixed
-// selects the float32-accumulation fast path (float64 per-cluster
-// reduction). The spatial grid is rebuilt with cells at least
-// cutoff+skin wide and the task decomposition becomes one nonbonded
-// task per cell plus the usual bonded chunks.
+// rebuilt once some atom has drifted more than skin/2 since the build.
+// The spatial grid is rebuilt with cells at least cutoff+skin wide and
+// the task decomposition becomes one nonbonded task per cell plus the
+// usual bonded chunks.
 //
 // Construct with gonamd.NewParallel(sys, ff, st, workers,
 // gonamd.WithClusterLists(m, n)) instead where possible; the option
 // validates the geometry and delegates here.
-func (e *Engine) EnableClusterLists(m, n int, skin float64, mixed bool) error {
+func (e *Engine) EnableClusterLists(m, n int, skin float64) error {
 	if skin <= 0 {
 		skin = seq.DefaultClusterSkin
 	}
@@ -70,8 +71,8 @@ func (e *Engine) EnableClusterLists(m, n int, skin float64, mixed bool) error {
 	e.grid = grid
 	e.binner = spatial.NewBinner(grid)
 
-	c := &parClusterState{builder: builder, mixed: mixed, exclFn: e.Sys.ForEachExcludedPair}
-	c.data.EnableF32(mixed)
+	c := &parClusterState{builder: builder, exclFn: e.Sys.ForEachExcludedPair}
+	c.guard.Limit = skin / 2
 	na := e.Sys.N()
 	c.types = make([]int32, na)
 	c.charges = make([]float64, na)
@@ -82,18 +83,9 @@ func (e *Engine) EnableClusterLists(m, n int, skin float64, mixed bool) error {
 	e.clb = c
 
 	// One nonbonded task per cell (cluster ranges filled per rebuild)
-	// plus the usual bonded chunks; block-list state is replaced.
-	e.tasks = nil
-	e.buildClusterTasks()
+	// plus the usual bonded chunks.
+	e.buildTasks(true)
 	e.staticAssign()
-	e.blists = nil
-	e.skin = skin
-	e.refPos = make([]vec.V3, na)
-	e.guard.Limit = skin / 2
-	e.guard.Invalidate()
-	e.listBuilt = false
-	e.rebuilds = 0
-	e.listScans, e.listSkips = 0, 0
 	e.fresh = false
 	return nil
 }
@@ -123,8 +115,7 @@ func (e *Engine) EnableTabulatedKernels(spacing float64) error {
 // reference kernel (forcefield.NonbondedClusterRef, or in table mode the
 // pure-Go forcefield.NonbondedClusterTabRef) instead of the optimized
 // one; differential tests use it to prove the optimized kernel
-// bitwise-identical through the full engine pipeline. Ignored in
-// mixed-precision mode (the reference is float64-only).
+// bitwise-identical through the full engine pipeline.
 func (e *Engine) UseReferenceClusterKernel(on bool) {
 	if e.clb != nil {
 		e.clb.useRef = on
@@ -137,38 +128,7 @@ func (e *Engine) ClusterRebuilds() int {
 	if e.clb == nil {
 		return 0
 	}
-	return e.rebuilds
-}
-
-// buildClusterTasks mirrors buildTasks for cluster mode: one nonbonded
-// task per cell plus bonded chunks.
-func (e *Engine) buildClusterTasks() {
-	np := e.grid.NumPatches()
-	for c := 0; c < np; c++ {
-		e.tasks = append(e.tasks, task{kind: taskCluster, cellA: c, cells: []int{c}})
-	}
-	if e.terms == nil {
-		for i := range e.Sys.Bonds {
-			e.terms = append(e.terms, bondedRef{0, int32(i)})
-		}
-		for i := range e.Sys.Angles {
-			e.terms = append(e.terms, bondedRef{1, int32(i)})
-		}
-		for i := range e.Sys.Dihedrals {
-			e.terms = append(e.terms, bondedRef{2, int32(i)})
-		}
-		for i := range e.Sys.Impropers {
-			e.terms = append(e.terms, bondedRef{3, int32(i)})
-		}
-	}
-	const chunk = 512
-	for lo := 0; lo < len(e.terms); lo += chunk {
-		hi := lo + chunk
-		if hi > len(e.terms) {
-			hi = len(e.terms)
-		}
-		e.tasks = append(e.tasks, task{kind: taskBonded, lo: lo, hi: hi})
-	}
+	return e.clb.guard.Builds
 }
 
 // rebuildClusters regenerates the global cluster list at the current
@@ -180,6 +140,7 @@ func (e *Engine) buildClusterTasks() {
 func (e *Engine) rebuildClusters() {
 	c := e.clb
 	c.list = c.builder.Build(e.St.Pos, c.exclFn)
+	c.guard.Built(e.St.Pos)
 	c.data.LoadStatic(c.list, c.types, c.charges)
 
 	numI := c.list.NumI()
@@ -264,14 +225,10 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 	}
 	var evdw, eelec, vir float64
 	switch {
-	case c.tab != nil && c.mixed:
-		evdw, eelec, vir = e.FF.NonbondedClusterTab32(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	case c.tab != nil && c.useRef:
 		evdw, eelec, vir = e.FF.NonbondedClusterTabRef(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	case c.tab != nil:
 		evdw, eelec, vir = e.FF.NonbondedClusterTab(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
-	case c.mixed:
-		evdw, eelec, vir = e.FF.NonbondedCluster32(l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	case c.useRef:
 		evdw, eelec, vir = e.FF.NonbondedClusterRef(l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	default:
@@ -302,6 +259,14 @@ func (e *Engine) flushClusterForces(ws *wstate) {
 		ws.blkMark[blk] = false
 	}
 	ws.blkTouch = ws.blkTouch[:0]
+}
+
+// advanceGuard feeds one integration step's maximum displacement bound
+// (|v|max·dt) to the cluster list's drift guard.
+func (e *Engine) advanceGuard(maxV2, dt float64) {
+	if e.clb != nil {
+		e.clb.guard.Advance(math.Sqrt(maxV2) * dt)
+	}
 }
 
 func resizeI32p(s []int32, n int) []int32 {

@@ -13,9 +13,8 @@
 // by forcefield.NonbondedBatch, and each worker records the set of atom
 // indices it actually wrote so both the zeroing of its private array and
 // the final reduction cost O(touched) instead of O(N·workers). With
-// EnableBlockLists each nonbonded task additionally caches a Verlet pair
-// list with a skin, rebuilt only when atoms drift too far (see
-// blocklist.go).
+// EnableClusterLists the nonbonded tasks instead evaluate M×N cluster
+// pair lists, rebuilt only when atoms drift too far (see clusterlist.go).
 package par
 
 import (
@@ -148,21 +147,8 @@ type Engine struct {
 	// term and Step follows the impulse-MTS reciprocal schedule.
 	pme *pme.Solver
 
-	// Cluster pair lists (EnableClusterLists); nil means disabled. Shares
-	// skin/refPos/guard bookkeeping with the block lists below.
+	// Cluster pair lists (EnableClusterLists); nil means disabled.
 	clb *parClusterState
-
-	// Verlet block lists (EnableBlockLists); skin == 0 means disabled.
-	skin       float64
-	blists     [][]uint64 // per-task packed pair lists
-	refPos     []vec.V3   // positions at last list build
-	guard      spatial.DriftGuard
-	listBuilt  bool
-	rebuildNow bool // this evaluation rebuilds every task's list
-	rebuilds   int
-	listScans  int
-	listSkips  int
-	dirtyCell  int // cell that triggered the last rebuild (-1 initial)
 
 	cur      seq.Energies
 	fresh    bool
@@ -202,7 +188,6 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 		wstates:        make([]wstate, workers),
 		wbatch:         make([]*forcefield.PairBatch, workers),
 		wenergy:        make([]seq.Energies, workers),
-		dirtyCell:      -1,
 	}
 	for w := range e.wstates {
 		e.wstates[w] = wstate{
@@ -212,7 +197,7 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 		}
 		e.wbatch[w] = forcefield.NewPairBatch(forcefield.DefaultBatchSize)
 	}
-	e.buildTasks()
+	e.buildTasks(false)
 	e.staticAssign()
 	return e, nil
 }
@@ -226,13 +211,24 @@ func (e *Engine) NumTasks() int { return len(e.tasks) }
 // Balances returns how many load-balancing passes have run.
 func (e *Engine) Balances() int { return e.balances }
 
-func (e *Engine) buildTasks() {
+// buildTasks decomposes the work on the current grid: nonbonded tasks
+// (one self task per cell and one pair task per neighboring cell pair,
+// or in cluster mode one cluster task per cell) plus chunks of bonded
+// terms.
+func (e *Engine) buildTasks(clusters bool) {
+	e.tasks = nil
 	np := e.grid.NumPatches()
 	for c := 0; c < np; c++ {
-		e.tasks = append(e.tasks, task{kind: taskSelf, cellA: c, cells: []int{c}})
+		kind := taskSelf
+		if clusters {
+			kind = taskCluster
+		}
+		e.tasks = append(e.tasks, task{kind: kind, cellA: c, cells: []int{c}})
 	}
-	for _, pr := range e.grid.NeighborPairs() {
-		e.tasks = append(e.tasks, task{kind: taskPair, cellA: pr[0], cellB: pr[1], cells: []int{pr[0], pr[1]}})
+	if !clusters {
+		for _, pr := range e.grid.NeighborPairs() {
+			e.tasks = append(e.tasks, task{kind: taskPair, cellA: pr[0], cellB: pr[1], cells: []int{pr[0], pr[1]}})
+		}
 	}
 	if e.terms == nil {
 		for i := range e.Sys.Bonds {
@@ -291,8 +287,6 @@ func (e *Engine) staticAssign() {
 // centralized pair the cluster simulation uses). The balance count is
 // the strategy's pass number, so composite strategies run their global
 // stage on the first rebalance and refine incrementally thereafter.
-// Cached block lists are per task, not per worker, so they survive
-// reassignment.
 func (e *Engine) Rebalance() {
 	prob := &ldb.Problem{
 		NumPE:      e.workers,
@@ -318,26 +312,14 @@ func (e *Engine) Rebalance() {
 // ComputeForces evaluates all forces in parallel and returns energies
 // (kinetic included).
 func (e *Engine) ComputeForces() seq.Energies {
-	if e.skin > 0 {
-		// Verlet lists (block or cluster): rebuild only when the lists
-		// went stale; otherwise both bins and lists are reused. Cluster
-		// lists rebuild in the driver so a rebuild step evaluates exactly
-		// the list a replay step would (bitwise rebuild-vs-replay).
-		e.rebuildNow = !e.listsValid()
-		if e.rebuildNow {
-			if e.clb != nil {
-				e.rebuildClusters()
-			} else {
-				e.bins = e.binner.Bin(e.St.Pos)
-			}
-			copy(e.refPos, e.St.Pos)
-			e.guard.Reset()
-			e.listBuilt = true
-			e.rebuilds++
+	if c := e.clb; c != nil {
+		// Rebuild only when the list went stale, and in the driver, so a
+		// rebuild step evaluates exactly the list a replay step would
+		// (bitwise rebuild-vs-replay).
+		if !c.guard.Valid(e.St.Pos, e.Sys.Box) {
+			e.rebuildClusters()
 		}
-		if e.clb != nil {
-			e.clb.data.LoadPositions(e.clb.list, e.St.Pos)
-		}
+		c.data.LoadPositions(c.list, e.St.Pos)
 	} else {
 		e.bins = e.binner.Bin(e.St.Pos)
 	}
@@ -433,15 +415,11 @@ func (e *Engine) computeWorker(w int) {
 		}
 		start := time.Now()
 		t := &e.tasks[ti]
-		switch {
-		case t.kind == taskBonded:
+		switch t.kind {
+		case taskBonded:
 			e.bondedRange(t.lo, t.hi, ws, &en)
-		case t.kind == taskCluster:
+		case taskCluster:
 			e.runClusterTask(t, ws, &en)
-		case e.skin > 0 && e.rebuildNow:
-			e.buildRunTask(ti, t, w, ws, &en)
-		case e.skin > 0:
-			e.runListTask(ti, w, ws, &en)
 		default:
 			e.runCellTask(t, w, ws, &en)
 		}
@@ -487,7 +465,7 @@ func (e *Engine) reduceRange(lo, hi int) {
 }
 
 // runCellTask evaluates a self or pair task directly from the current
-// binning (the non-list path).
+// binning (the cell walk).
 func (e *Engine) runCellTask(t *task, w int, ws *wstate, en *seq.Energies) {
 	cutoff2 := e.FF.Cutoff * e.FF.Cutoff
 	switch t.kind {
@@ -619,12 +597,12 @@ func (e *Engine) Energies() seq.Energies {
 
 // Invalidate marks the cached forces stale after positions were modified
 // outside the engine (e.g. a replica-exchange configuration swap); the
-// next Step or Energies call recomputes them. The block-list drift bound
-// is voided too, since external edits are not drift-tracked.
+// next Step or Energies call recomputes them. The cluster-list drift
+// bound is voided too, since external edits are not drift-tracked.
 func (e *Engine) Invalidate() {
 	e.fresh = false
-	if e.skin > 0 {
-		e.guard.Invalidate()
+	if e.clb != nil {
+		e.clb.guard.Invalidate()
 	}
 	if e.pme != nil {
 		e.pme.Invalidate()
@@ -632,17 +610,17 @@ func (e *Engine) Invalidate() {
 }
 
 // ResetLists drops the neighbor-list history so the next force
-// evaluation rebuilds the block or cluster lists from the positions it
-// sees, instead of replaying lists built at earlier positions. Replay
-// and rebuild agree on which pairs contribute, but not on the
-// accumulation order, so their sums differ in ulps. Dropping the history
+// evaluation rebuilds the cluster list from the positions it sees,
+// instead of replaying a list built at earlier positions. Replay and
+// rebuild agree on which pairs contribute, but not on the accumulation
+// order, so their sums differ in ulps. Dropping the history
 // makes the next evaluation a pure function of positions; the job
 // server calls this after every checkpoint so the uninterrupted
 // continuation stays bitwise identical to a run resumed from that
 // checkpoint. A no-op when no lists are enabled.
 func (e *Engine) ResetLists() {
-	if e.skin > 0 {
-		e.listBuilt = false
+	if e.clb != nil {
+		e.clb.guard.Forget()
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // benchEngine builds a medium water box once per benchmark.
-func benchEngine(b *testing.B, pairlist bool) *Engine {
+func benchEngine(b *testing.B, clusters bool) *Engine {
 	b.Helper()
 	sys, st, err := molgen.Build(molgen.WaterBox(22, 3))
 	if err != nil {
@@ -19,8 +19,10 @@ func benchEngine(b *testing.B, pairlist bool) *Engine {
 		b.Fatal(err)
 	}
 	eng.Minimize(50, 0.2)
-	if pairlist {
-		EnablePairlist(eng, 1.5)
+	if clusters {
+		if err := eng.EnableClusterLists(4, 4, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return eng
 }
@@ -36,19 +38,8 @@ func BenchmarkForceEvalCellList(b *testing.B) {
 	}
 }
 
-// BenchmarkForceEvalPairlist measures the same evaluation through a
-// Verlet pairlist (list reused across iterations, as in dynamics).
-func BenchmarkForceEvalPairlist(b *testing.B) {
-	eng := benchEngine(b, true)
-	eng.ComputeForces() // build the list
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.fresh = false
-		eng.ComputeForces()
-	}
-}
-
-// BenchmarkMDStep measures one full velocity-Verlet step.
+// BenchmarkMDStep measures one full velocity-Verlet step on 4×4 cluster
+// lists.
 func BenchmarkMDStep(b *testing.B) {
 	eng := benchEngine(b, true)
 	b.ResetTimer()

@@ -17,10 +17,8 @@ const DefaultClusterSkin = 1.5
 // clusterState is the engine-side state of cluster-pair-list nonbonded
 // evaluation: the builder (storage reused across rebuilds), the current
 // list, slot-indexed kernel operands and force accumulators, and the
-// skin/2 drift rule shared with the other list modes.
+// skin/2 drift rule.
 type clusterState struct {
-	skin    float64
-	mixed   bool                         // float32 fast path
 	useRef  bool                         // evaluate via the scalar-replay reference kernel (tests)
 	tab     *forcefield.InteractionTable // tabulated kernels when non-nil
 	builder *spatial.ClusterBuilder
@@ -35,22 +33,17 @@ type clusterState struct {
 	types   []int32
 	charges []float64
 
-	refPos   []vec.V3
-	guard    spatial.DriftGuard
-	rebuilds int
-	scans    int
-	skips    int
+	guard spatial.DriftGuard // skin/2 drift rule; counts builds, scans, skips
 }
 
 // EnableClusterLists switches the engine's nonbonded evaluation to M×N
-// cluster pair lists with the given skin (Å), rebuilt under the same
-// skin/2 drift rule as the atom-pair lists. mixed selects the
-// float32-accumulation fast path (float64 per-cluster reduction).
+// cluster pair lists with the given skin (Å; ≤ 0 selects the default),
+// rebuilt once some atom has drifted more than skin/2 since the build.
 //
 // Construct with gonamd.NewSequential(sys, ff, st,
 // gonamd.WithClusterLists(m, n)) instead where possible; the option
 // validates the geometry and delegates here.
-func (e *Engine) EnableClusterLists(m, n int, skin float64, mixed bool) error {
+func (e *Engine) EnableClusterLists(m, n int, skin float64) error {
 	if skin <= 0 {
 		skin = DefaultClusterSkin
 	}
@@ -58,12 +51,9 @@ func (e *Engine) EnableClusterLists(m, n int, skin float64, mixed bool) error {
 	if err != nil {
 		return err
 	}
-	cl := &clusterState{skin: skin, mixed: mixed, builder: b, exclFn: e.Sys.ForEachExcludedPair}
-	cl.data.EnableF32(mixed)
+	cl := &clusterState{builder: b, exclFn: e.Sys.ForEachExcludedPair}
 	cl.guard.Limit = skin / 2
-	cl.guard.Invalidate()
 	e.clusters = cl
-	e.plist = nil
 	e.fresh = false
 	return nil
 }
@@ -76,8 +66,7 @@ func (e *Engine) EnableClusterLists(m, n int, skin float64, mixed bool) error {
 // run after any electrostatics change (EnableFullElectrostatics swaps
 // the force field's Ewald splitting) — the constructors order it last.
 // Requires cluster lists (the tabulated kernels only exist in cluster
-// form); combined with the mixed fast path it selects the float32
-// tabulated kernel.
+// form).
 //
 // Construct with gonamd.NewSequential(sys, ff, st,
 // gonamd.WithClusterLists(m, n), gonamd.WithTabulatedKernels(spacing))
@@ -103,8 +92,7 @@ var ErrTabNeedsClusters = errors.New("gonamd: tabulated kernels require cluster 
 // reference kernel (forcefield.NonbondedClusterRef, or in table mode the
 // pure-Go forcefield.NonbondedClusterTabRef) instead of the optimized
 // one. Differential tests use it to prove the optimized kernel
-// bitwise-identical through the full engine pipeline. It is ignored in
-// mixed-precision mode (the reference is float64-only).
+// bitwise-identical through the full engine pipeline.
 func (e *Engine) UseReferenceClusterKernel(on bool) {
 	if e.clusters != nil {
 		e.clusters.useRef = on
@@ -117,27 +105,15 @@ func (e *Engine) ClusterRebuilds() int {
 	if e.clusters == nil {
 		return 0
 	}
-	return e.clusters.rebuilds
+	return e.clusters.guard.Builds
 }
 
-// valid mirrors pairlist.valid: the drift bound answers most checks in
-// O(1); a failed bound falls back to the O(N) displacement scan.
-func (c *clusterState) valid(st *topology.State, box vec.V3) bool {
-	if c.list == nil {
-		return false
+// advanceGuard feeds one drift's maximum displacement bound (|v|max·dt)
+// to the cluster list's drift guard.
+func (e *Engine) advanceGuard(maxV2, dt float64) {
+	if e.clusters != nil {
+		e.clusters.guard.Advance(math.Sqrt(maxV2) * dt)
 	}
-	if c.guard.CanSkip() {
-		c.skips++
-		return true
-	}
-	c.scans++
-	d2 := spatial.MaxDisplacement2(st.Pos, c.refPos, box)
-	limit := c.guard.Limit
-	if d2 > limit*limit {
-		return false
-	}
-	c.guard.Seed(math.Sqrt(d2))
-	return true
 }
 
 // loadAtoms extracts the atom-indexed type and charge arrays the
@@ -170,12 +146,7 @@ func (e *Engine) buildClusterList() {
 	for i := range c.ics {
 		c.ics[i] = int32(i)
 	}
-	if c.refPos == nil {
-		c.refPos = make([]vec.V3, e.Sys.N())
-	}
-	copy(c.refPos, e.St.Pos)
-	c.guard.Reset()
-	c.rebuilds++
+	c.guard.Built(e.St.Pos)
 }
 
 // nonbondedFromClusters runs the cluster kernel over the whole list and
@@ -193,14 +164,10 @@ func (e *Engine) nonbondedFromClusters(en *Energies) {
 	}
 	var evdw, eelec, vir float64
 	switch {
-	case c.tab != nil && c.mixed:
-		evdw, eelec, vir = e.FF.NonbondedClusterTab32(c.tab, l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
 	case c.tab != nil && c.useRef:
 		evdw, eelec, vir = e.FF.NonbondedClusterTabRef(c.tab, l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
 	case c.tab != nil:
 		evdw, eelec, vir = e.FF.NonbondedClusterTab(c.tab, l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
-	case c.mixed:
-		evdw, eelec, vir = e.FF.NonbondedCluster32(l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
 	case c.useRef:
 		evdw, eelec, vir = e.FF.NonbondedClusterRef(l, &c.data, c.ics, c.fxs, c.fys, c.fzs)
 	default:

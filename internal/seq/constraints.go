@@ -136,9 +136,9 @@ func (e *Engine) StepConstrained(dt float64, c *Constraints) error {
 		return err
 	}
 	// SHAKE corrections move atoms beyond the |v|·dt drift, so the
-	// pairlist drift bound is unknown; force a displacement scan.
-	if e.plist != nil {
-		e.plist.guard.Invalidate()
+	// cluster-list drift bound is unknown; force a displacement scan.
+	if e.clusters != nil {
+		e.clusters.guard.Invalidate()
 	}
 	e.ComputeForces()
 	for i := range vel {

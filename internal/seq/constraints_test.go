@@ -123,3 +123,26 @@ func TestConstraintValidation(t *testing.T) {
 		t.Error("zero target length accepted")
 	}
 }
+
+// TestStepConstrainedScansClusterList: SHAKE corrections move atoms
+// beyond the |v|·dt drift the cluster list's bound accounts for, so
+// every constrained step must validate the list with a displacement
+// scan instead of skipping on the bound.
+func TestStepConstrainedScansClusterList(t *testing.T) {
+	eng, c := constrainedWaterSetup(t)
+	if err := eng.EnableClusterLists(4, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	eng.ComputeForces() // first build
+	g := &eng.clusters.guard
+	const steps = 5
+	scans := g.Scans
+	for s := 0; s < steps; s++ {
+		if err := eng.StepConstrained(1.0, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := g.Scans - scans; got != steps {
+		t.Errorf("%d displacement scans over %d constrained steps, want one per step", got, steps)
+	}
+}

@@ -2,7 +2,6 @@ package seq
 
 import (
 	"fmt"
-	"math"
 
 	"gonamd/internal/fft"
 	"gonamd/internal/pme"
@@ -113,12 +112,7 @@ func (e *Engine) stepPME(dt float64) {
 		}
 		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
 	}
-	if e.plist != nil {
-		e.plist.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
-	if e.clusters != nil {
-		e.clusters.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
+	e.advanceGuard(maxV2, dt)
 	e.phaseEmit("integrate", trace.CatIntegration, t)
 	e.ComputeForces()
 	t = e.phaseNow()

@@ -8,7 +8,6 @@ package seq
 
 import (
 	"fmt"
-	"math"
 
 	"gonamd/internal/forcefield"
 	"gonamd/internal/ftdc"
@@ -59,17 +58,14 @@ type Engine struct {
 	grid   *spatial.Grid
 	binner *spatial.Binner // reusable zero-alloc rebinning
 	nbrs   [][]int32       // per-cell upper-half neighbor cells (nb > cell), precomputed
-	nbrs2  [][]int32       // two-shell variant, built lazily for narrow-cell pairlist builds
 	batch  *forcefield.PairBatch
 
-	forces     []vec.V3
-	cur        Energies
-	fresh      bool // forces correspond to current positions
-	plist      *pairlist
-	plRebuilds int
+	forces []vec.V3
+	cur    Energies
+	fresh  bool // forces correspond to current positions
 
 	// clusters, when non-nil, switches nonbonded evaluation to M×N
-	// cluster pair lists (see clusterlist.go); plist is nil then.
+	// cluster pair lists (see clusterlist.go).
 	clusters *clusterState
 
 	// pme, when non-nil, holds the full-electrostatics slow-force solver
@@ -127,22 +123,6 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State) (*Engi
 	}, nil
 }
 
-// wideNeighbors returns the two-shell upper-half neighbor list of a cell,
-// built on first use (only narrow-cell pairlist rebuilds need it).
-func (e *Engine) wideNeighbors(cell int) []int32 {
-	if e.nbrs2 == nil {
-		e.nbrs2 = make([][]int32, e.grid.NumPatches())
-		for c := range e.nbrs2 {
-			for _, nb := range e.grid.Neighbors2(c) {
-				if nb > c {
-					e.nbrs2[c] = append(e.nbrs2[c], int32(nb))
-				}
-			}
-		}
-	}
-	return e.nbrs2[cell]
-}
-
 // Forces returns the force array from the last evaluation. The slice is
 // owned by the engine.
 func (e *Engine) Forces() []vec.V3 {
@@ -181,19 +161,7 @@ func (e *Engine) ComputeForces() Energies {
 	}
 	var en Energies
 	t := e.phaseNow()
-	if e.clusters != nil {
-		if !e.clusters.valid(e.St, e.Sys.Box) {
-			e.buildClusterList()
-		}
-		e.nonbondedFromClusters(&en)
-	} else if e.plist != nil {
-		if !e.plist.valid(e.St, e.Sys.Box) {
-			e.buildPairlist()
-		}
-		e.nonbondedFromList(&en)
-	} else {
-		e.nonbonded(&en)
-	}
+	e.nonbondedForces(&en)
 	t = e.phaseEmit("nonbonded", trace.CatNonbonded, t)
 	e.bonded(&en)
 	e.phaseEmit("bonded", trace.CatBonded, t)
@@ -201,6 +169,20 @@ func (e *Engine) ComputeForces() Energies {
 	e.fresh = true
 	en.Kinetic = e.Kinetic()
 	return en
+}
+
+// nonbondedForces evaluates every nonbonded pair into e.forces: from the
+// cluster list when one is enabled (rebuilt first once stale), else by
+// the cell walk.
+func (e *Engine) nonbondedForces(en *Energies) {
+	if e.clusters == nil {
+		e.nonbonded(en)
+		return
+	}
+	if !e.clusters.guard.Valid(e.St.Pos, e.Sys.Box) {
+		e.buildClusterList()
+	}
+	e.nonbondedFromClusters(en)
 }
 
 // nonbonded evaluates all within-cutoff pair interactions using cell
@@ -323,14 +305,11 @@ func (e *Engine) bonded(en *Energies) {
 
 // Invalidate marks the cached forces stale after positions were modified
 // outside the engine (e.g. a replica-exchange configuration swap); the
-// next Step or Energies call recomputes them. The pairlist drift bound is
-// also invalidated, since the engine cannot bound how far an external
-// edit moved the atoms.
+// next Step or Energies call recomputes them. The cluster-list drift
+// bound is also invalidated, since the engine cannot bound how far an
+// external edit moved the atoms.
 func (e *Engine) Invalidate() {
 	e.fresh = false
-	if e.plist != nil {
-		e.plist.guard.Invalidate()
-	}
 	if e.clusters != nil {
 		e.clusters.guard.Invalidate()
 	}
@@ -340,21 +319,18 @@ func (e *Engine) Invalidate() {
 }
 
 // ResetLists drops the neighbor-list history so the next force
-// evaluation rebuilds every enabled list (atom-pair or cluster) from the
-// positions it sees, instead of replaying a list built at earlier
-// positions. Replay and rebuild agree on which pairs contribute (the
-// skin only admits extra pairs the kernels skip), but not on the
-// accumulation order, so their sums differ in ulps. Dropping the history
-// makes the next evaluation a pure function of positions; the job
-// server calls this after every checkpoint so the uninterrupted
-// continuation stays bitwise identical to a run resumed from that
-// checkpoint. A no-op when no lists are enabled.
+// evaluation rebuilds the cluster list from the positions it sees,
+// instead of replaying a list built at earlier positions. Replay and
+// rebuild agree on which pairs contribute (the skin only admits extra
+// pairs the kernels skip), but not on the accumulation order, so their
+// sums differ in ulps. Dropping the history makes the next evaluation a
+// pure function of positions; the job server calls this after every
+// checkpoint so the uninterrupted continuation stays bitwise identical
+// to a run resumed from that checkpoint. A no-op when no lists are
+// enabled.
 func (e *Engine) ResetLists() {
-	if e.plist != nil {
-		e.plist.refPos = nil
-	}
 	if e.clusters != nil {
-		e.clusters.list = nil
+		e.clusters.guard.Forget()
 	}
 }
 
@@ -397,7 +373,7 @@ func (e *Engine) Step(dt float64) {
 	t := e.phaseNow()
 	// Half kick + drift, tracking the largest speed: each atom's
 	// displacement this step is exactly |v|·dt, which advances the
-	// pairlist drift bound so validity checks can skip their O(N) scan.
+	// cluster-list drift bound so validity checks can skip their O(N) scan.
 	var maxV2 float64
 	for i := range pos {
 		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
@@ -407,12 +383,7 @@ func (e *Engine) Step(dt float64) {
 		}
 		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
 	}
-	if e.plist != nil {
-		e.plist.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
-	if e.clusters != nil {
-		e.clusters.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
+	e.advanceGuard(maxV2, dt)
 	e.phaseEmit("integrate", trace.CatIntegration, t)
 	// New forces + half kick.
 	e.ComputeForces()

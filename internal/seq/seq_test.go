@@ -288,131 +288,6 @@ func TestNVTWithBerendsenThermostat(t *testing.T) {
 	}
 }
 
-func TestPairlistMatchesDirect(t *testing.T) {
-	sys, st, ff := smallSystem(t)
-	direct, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(listed, 1.5)
-
-	dEn := direct.ComputeForces()
-	lEn := listed.ComputeForces()
-	if math.Abs(dEn.Potential()-lEn.Potential()) > 1e-9*(1+math.Abs(dEn.Potential())) {
-		t.Errorf("pairlist potential %v vs direct %v", lEn.Potential(), dEn.Potential())
-	}
-	df, lf := direct.Forces(), listed.Forces()
-	for i := range df {
-		if !vec.ApproxEq(lf[i], df[i], 1e-9*(1+df[i].Norm())) {
-			t.Fatalf("pairlist force on atom %d: %v vs %v", i, lf[i], df[i])
-		}
-	}
-	if listed.PairlistRebuilds() != 1 {
-		t.Errorf("rebuilds = %d, want 1", listed.PairlistRebuilds())
-	}
-}
-
-func TestPairlistStaysCorrectAcrossTrajectory(t *testing.T) {
-	sys, st, ff := smallSystem(t)
-	direct, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.Minimize(30, 0.2)
-	dirSt := direct.St
-
-	listedSt := dirSt.Clone()
-	listed, err := New(sys, ff, listedSt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(listed, 1.0)
-
-	for s := 0; s < 25; s++ {
-		direct.Step(0.5)
-		listed.Step(0.5)
-	}
-	for i := range dirSt.Pos {
-		d := vec.MinImage(dirSt.Pos[i], listedSt.Pos[i], sys.Box).Norm()
-		if d > 1e-8 {
-			t.Fatalf("trajectories diverged by %.2e Å at atom %d", d, i)
-		}
-	}
-}
-
-func TestPairlistRebuildsOnMotion(t *testing.T) {
-	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(eng, 1.0)
-	eng.ComputeForces()
-	if eng.PairlistRebuilds() != 1 {
-		t.Fatalf("rebuilds = %d", eng.PairlistRebuilds())
-	}
-	// Move one atom beyond skin/2: next evaluation must rebuild. External
-	// position edits go through Invalidate, which also voids the drift
-	// bound so the displacement scan actually runs.
-	st.Pos[0] = vec.Wrap(st.Pos[0].Add(vec.New(0.6, 0, 0)), sys.Box)
-	eng.Invalidate()
-	eng.ComputeForces()
-	if eng.PairlistRebuilds() != 2 {
-		t.Errorf("rebuilds = %d, want 2 after large displacement", eng.PairlistRebuilds())
-	}
-	// No motion: no rebuild.
-	eng.Invalidate()
-	eng.ComputeForces()
-	if eng.PairlistRebuilds() != 2 {
-		t.Errorf("rebuilds = %d, want 2 (no motion)", eng.PairlistRebuilds())
-	}
-	eng.DisablePairlist()
-	eng.ComputeForces()
-}
-
-func TestPairlistSmallCellFallback(t *testing.T) {
-	// A box whose cells are barely over the cutoff: cutoff+skin exceeds
-	// the cell size, forcing the two-shell neighbor scan.
-	spec := molgen.WaterBox(13, 12)
-	sys, st, err := molgen.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := forcefield.Standard(6.0) // cells ≈ 6.5 Å < 6+1.5
-	direct, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(listed, 1.5)
-	dEn := direct.ComputeForces()
-	lEn := listed.ComputeForces()
-	if math.Abs(dEn.Potential()-lEn.Potential()) > 1e-9*(1+math.Abs(dEn.Potential())) {
-		t.Errorf("fallback pairlist potential %v vs %v", lEn.Potential(), dEn.Potential())
-	}
-}
-
-func TestEnablePairlistValidation(t *testing.T) {
-	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero skin did not panic")
-		}
-	}()
-	EnablePairlist(eng, 0)
-}
-
 func TestMTSEnergyConservation(t *testing.T) {
 	spec := molgen.WaterBox(15, 18)
 	sys, st, err := molgen.Build(spec)
@@ -590,14 +465,18 @@ func TestPressureFinite(t *testing.T) {
 	}
 }
 
+// TestVirialPairlistConsistent: the cluster pair list's virial matches
+// the cell walk's.
 func TestVirialPairlistConsistent(t *testing.T) {
 	sys, st, ff := smallSystem(t)
 	direct, _ := New(sys, ff, st.Clone())
 	listed, _ := New(sys, ff, st.Clone())
-	EnablePairlist(listed, 1.5)
+	if err := listed.EnableClusterLists(4, 4, 0); err != nil {
+		t.Fatal(err)
+	}
 	a := direct.ComputeForces().Virial
 	b := listed.ComputeForces().Virial
 	if math.Abs(a-b) > 1e-7*(1+math.Abs(a)) {
-		t.Errorf("virial: direct %v vs pairlist %v", a, b)
+		t.Errorf("virial: direct %v vs cluster list %v", a, b)
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"gonamd/internal/traj"
 )
 
-// clusterSpecs are the two jobs of the cluster-kernel e2e test: a
-// parallel fp64 run and a sequential mixed-precision run, both on M×N
-// cluster pair lists.
+// clusterSpecs are the jobs of the cluster-kernel e2e test, all on M×N
+// cluster pair lists: a parallel analytic run, and sequential analytic
+// and tabulated runs.
 func clusterSpecs() []JobSpec {
 	base := JobSpec{
 		System:          SystemSpec{Preset: "water", Side: 10, Seed: 7, Cutoff: 4.5},
@@ -28,14 +28,14 @@ func clusterSpecs() []JobSpec {
 	par.Name = "par-cluster"
 	par.Engine = gonamd.EngineSpec{Engine: "parallel", Workers: 2, ClusterM: 4, ClusterN: 4}
 
-	mixed := base
-	mixed.Name = "seq-cluster-f32"
-	mixed.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, MixedPrecision: true}
+	seq := base
+	seq.Name = "seq-cluster"
+	seq.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4}
 
 	tab := base
 	tab.Name = "seq-cluster-tab"
 	tab.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, Tabulated: true}
-	return []JobSpec{par, mixed, tab}
+	return []JobSpec{par, seq, tab}
 }
 
 // rebaseEngine mirrors Job.rebaseListsLocked for in-process reference
@@ -91,7 +91,7 @@ func clusterReferenceTrajectory(t *testing.T, spec JobSpec) []byte {
 }
 
 // TestClusterJobsCrashRestartResume: jobs selecting cluster lists and
-// mixed precision are admitted over HTTP, survive a server kill, and
+// tabulated kernels are admitted over HTTP, survive a server kill, and
 // resume bit-identically within their numerical mode — each final
 // trajectory is byte-for-byte an uninterrupted run of the same spec.
 // This is the sharpest determinism claim the cluster path makes: a
@@ -167,15 +167,16 @@ func TestClusterJobsCrashRestartResume(t *testing.T) {
 // TestClusterPrecisionMismatchRejected: a checkpoint taken in one
 // precision mode must not silently continue under another — the
 // trajectories are not comparable across modes. A restart whose
-// spec-of-record flips mixed_precision fails the job with a note naming
-// the two modes instead of resuming.
+// spec-of-record turns tabulation off (TestTabulatedMismatchRejected
+// turns it on) fails the job with a note naming the two modes instead of
+// resuming.
 func TestClusterPrecisionMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{StateDir: dir, Workers: 1, SliceSteps: 25, CheckpointEvery: 40}
 
 	s := newTestScheduler(t, cfg)
 	spec := waterJob(4000)
-	spec.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4}
+	spec.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, Tabulated: true}
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +198,7 @@ func TestClusterPrecisionMismatchRejected(t *testing.T) {
 	if err := json.Unmarshal(raw, &tampered); err != nil {
 		t.Fatal(err)
 	}
-	tampered.Engine.MixedPrecision = true
+	tampered.Engine.Tabulated = false
 	out, err := json.Marshal(tampered)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestClusterPrecisionMismatchRejected(t *testing.T) {
 	if !strings.Contains(got.Note, "precision mode") {
 		t.Errorf("failure note %q does not name the precision-mode mismatch", got.Note)
 	}
-	if !strings.Contains(got.Note, "fp64") || !strings.Contains(got.Note, "fp32-mixed") {
+	if !strings.Contains(got.Note, "fp64-tab") || !strings.Contains(got.Note, "selects fp64;") {
 		t.Errorf("failure note %q does not name both modes", got.Note)
 	}
 }

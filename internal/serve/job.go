@@ -257,9 +257,9 @@ func (j *Job) ensure() error {
 // from a crash mid-write are discarded.
 func (j *Job) applyResume(snap *ckpt.JobState) error {
 	// Bit-identical resume only holds within one numerical mode: a
-	// checkpoint taken under fp64 replayed under fp32-mixed (or vice
-	// versa) would silently continue a different trajectory. Empty means
-	// fp64 — checkpoints that predate the field.
+	// checkpoint taken under fp64 replayed under fp64-tab (or vice versa)
+	// would silently continue a different trajectory. Empty means fp64 —
+	// checkpoints that predate the field.
 	have := snap.Precision
 	if have == "" {
 		have = "fp64"

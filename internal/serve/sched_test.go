@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gonamd"
 	"gonamd/internal/ckpt"
 )
 
@@ -325,6 +326,78 @@ func TestRecoveryRescanSpecWithoutCheckpoint(t *testing.T) {
 	if done.Resumes != 0 {
 		t.Errorf("Resumes = %d, want 0 (never checkpointed, restarted from scratch)", done.Resumes)
 	}
+}
+
+// TestRecoveryRescanRetiredSpecField: a spec of record carrying a field
+// this server does not know — here pairlist_skin, an engine option of
+// older releases — must not be decoded leniently, which would resume the
+// job silently under a different nonbonded path. The restart succeeds,
+// the unfinished job comes back as a failed tombstone whose note names
+// the field, a job that had already finished keeps its state, and the
+// other jobs run on.
+func TestRecoveryRescanRetiredSpecField(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{StateDir: dir, Workers: 1, SliceSteps: 10, CheckpointEvery: 20}
+	s := newTestScheduler(t, cfg)
+	finished, err := s.Submit(waterJob(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, finished.ID, StateDone)
+	listed := waterJob(1 << 20)
+	listed.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4}
+	stale, err := s.Submit(listed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := s.Submit(waterJob(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job to checkpoint", func() bool {
+		_, err := os.Stat(jobPath(dir, stale.ID, "ckpt"))
+		return err == nil
+	})
+	s.Kill()
+
+	for _, id := range []string{finished.ID, stale.ID} {
+		path := jobPath(dir, id, "spec.json")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		eng, _ := doc["engine"].(map[string]any)
+		if eng == nil {
+			eng = map[string]any{}
+		}
+		eng["pairlist_skin"] = 1.5
+		doc["engine"] = eng
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := NewScheduler(cfg)
+	if err != nil {
+		t.Fatalf("restart with a retired spec field failed: %v", err)
+	}
+	defer s2.Stop()
+	got := waitState(t, s2, stale.ID, StateFailed)
+	if !strings.Contains(got.Note, "pairlist_skin") {
+		t.Errorf("failure note %q does not name the unknown field", got.Note)
+	}
+	if j, _ := s2.Get(finished.ID); j.Status().State != StateDone {
+		t.Errorf("finished job came back %s, want %s", j.Status().State, StateDone)
+	}
+	waitState(t, s2, healthy.ID, StateDone)
 }
 
 // TestRescanReportsCheckpointStep: a resumable job's status must report

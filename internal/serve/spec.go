@@ -12,7 +12,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"gonamd"
 	"gonamd/internal/ensemble"
@@ -96,6 +98,20 @@ type EnsembleSpec struct {
 	Workers       int    `json:"workers,omitempty"`
 	EngineWorkers int    `json:"engine_workers,omitempty"`
 	Seed          uint64 `json:"seed,omitempty"`
+}
+
+// decodeSpec decodes one JSON job spec strictly: a field this server
+// does not know is an error naming the field, never silently dropped —
+// a dropped engine knob would run the job under a different
+// configuration than the one submitted. Admission and restart recovery
+// both decode through it. The returned spec holds every known field
+// even on error.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // normalize validates the spec and fills defaults in place, so the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,20 +79,23 @@ func (s *Scheduler) rescan() error {
 }
 
 // recoverJob rebuilds one job from its on-disk spec, status, and
-// checkpoint.
+// checkpoint. A spec of record this server cannot accept — one carrying
+// a field it does not know, such as an engine option later releases
+// retired, or one that no longer validates — makes the job a failed
+// tombstone whose note names the problem, unless the job had already
+// finished; either way one bad job does not keep the server from
+// starting.
 func (s *Scheduler) recoverJob(id string) (*Job, error) {
 	specJSON, err := os.ReadFile(jobPath(s.cfg.StateDir, id, "spec.json"))
 	if err != nil {
 		return nil, err
 	}
-	var spec JobSpec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, err
-	}
-	// The persisted spec was normalized at submission; normalizing again
-	// is idempotent and revalidates it against this server's defaults.
-	if err := spec.normalize(s.cfg.CheckpointEvery); err != nil {
-		return nil, err
+	spec, specErr := decodeSpec(bytes.NewReader(specJSON))
+	if specErr == nil {
+		// The persisted spec was normalized at submission; normalizing
+		// again is idempotent and revalidates it against this server's
+		// defaults.
+		specErr = spec.normalize(s.cfg.CheckpointEvery)
 	}
 	j := newJob(id, s.cfg.StateDir, spec, specJSON, s.metricsInterval())
 
@@ -120,6 +124,10 @@ func (s *Scheduler) recoverJob(id string) (*Job, error) {
 			j.events.close()
 			return j, nil
 		}
+	}
+	if specErr != nil {
+		j.finalizeExternal(StateFailed, fmt.Sprintf("cannot resume: spec of record rejected: %v", specErr))
+		return j, nil
 	}
 
 	snap, err := ckpt.LoadJobFile(j.ckptPath())

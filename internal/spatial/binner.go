@@ -1,6 +1,10 @@
 package spatial
 
-import "gonamd/internal/vec"
+import (
+	"math"
+
+	"gonamd/internal/vec"
+)
 
 // Binner bins atoms into a grid's patches using storage that is reused
 // across calls, so steady-state rebinning performs no heap allocations.
@@ -47,7 +51,7 @@ func (b *Binner) Bin(pos []vec.V3) [][]int32 {
 	var start int32
 	for c := range b.cells {
 		n := b.cnt[c]
-		b.cells[c] = flat[start:start : start+n]
+		b.cells[c] = flat[start : start : start+n]
 		start += n
 	}
 	for i, id := range ids {
@@ -56,77 +60,70 @@ func (b *Binner) Bin(pos []vec.V3) [][]int32 {
 	return b.cells
 }
 
-// MovedBeyond reports whether any atom's minimum-image displacement from
-// its reference position exceeds limit, with an early exit on the first
-// offender. This is the Verlet-list invalidation rule shared by the
-// sequential pairlist and the parallel block lists: a list built with
-// skin s covers every within-cutoff pair while no atom has moved more
-// than s/2 since the build.
-func MovedBeyond(pos, ref []vec.V3, box vec.V3, limit float64) bool {
-	limit2 := limit * limit
-	for i := range pos {
-		if vec.MinImage(pos[i], ref[i], box).Norm2() > limit2 {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxDisplacement2 returns the largest squared minimum-image displacement
-// of any atom from its reference position. Unlike MovedBeyond it always
-// scans every atom; a passing scan therefore measures the true maximum,
-// which callers feed back into DriftGuard.Seed so subsequent validity
-// checks can be skipped again.
-func MaxDisplacement2(pos, ref []vec.V3, box vec.V3) float64 {
-	var max float64
-	for i := range pos {
-		if d2 := vec.MinImage(pos[i], ref[i], box).Norm2(); d2 > max {
-			max = d2
-		}
-	}
-	return max
-}
-
-// CellMovedBeyond scans cell by cell (using the frozen membership the
-// lists were built from) and returns the first cell containing an atom
-// whose displacement from its reference exceeds limit, or -1 if every
-// atom is still within bounds. The per-cell granularity exists for
-// diagnostics and early exit; because pair lists of different cells can
-// cover the same atoms only under one consistent binning, a single dirty
-// cell invalidates the whole list set (see DESIGN.md, "Hot path").
-func CellMovedBeyond(bins [][]int32, pos, ref []vec.V3, box vec.V3, limit float64) int {
-	limit2 := limit * limit
-	for c, atoms := range bins {
-		for _, i := range atoms {
-			if vec.MinImage(pos[i], ref[i], box).Norm2() > limit2 {
-				return c
-			}
-		}
-	}
-	return -1
-}
-
-// DriftGuard maintains a conservative upper bound on how far any atom can
-// have moved since a reference snapshot, so the O(N) displacement scan
-// can be skipped entirely on steps where the bound proves the Verlet list
-// still valid. Integrators feed it the maximum single-step displacement
-// after every drift; any code path that moves positions without
-// accounting (minimization, constraint projection, external edits) must
-// call Invalidate, which forces scans until the next Reset.
+// DriftGuard decides when a Verlet list must be rebuilt. A list built
+// with skin s covers every within-cutoff pair while no atom has moved
+// more than Limit = s/2 from the positions it was built at. The guard
+// keeps a conservative upper bound on that displacement so the O(N)
+// displacement scan can be skipped entirely on steps where the bound
+// proves the list still valid. Integrators feed it the maximum
+// single-step displacement after every drift (Advance); any code path
+// that moves positions without accounting (minimization, constraint
+// projection, external edits) must call Invalidate, which forces scans
+// until the next build.
 type DriftGuard struct {
-	Limit float64 // maximum permitted displacement (skin/2)
-	bound float64 // accumulated displacement bound; < 0 means unknown
+	Limit float64  // maximum permitted displacement (skin/2)
+	bound float64  // accumulated displacement bound; < 0 means unknown
+	ref   []vec.V3 // positions at the last build
+	built bool     // ref holds a build that Forget has not dropped
+
+	// Builds counts Built calls; Scans counts validity checks that ran
+	// the displacement scan, Skips those answered by the bound alone.
+	Builds, Scans, Skips int
 }
 
-// Reset zeroes the bound; call when the reference snapshot is (re)taken.
-func (g *DriftGuard) Reset() { g.bound = 0 }
+// Valid reports whether the list recorded by the last Built call still
+// covers every within-cutoff pair at pos. A passing scan measures the
+// true maximum displacement and re-arms the bound with it, so following
+// checks can skip the scan again.
+func (g *DriftGuard) Valid(pos []vec.V3, box vec.V3) bool {
+	if !g.built {
+		return false
+	}
+	if g.bound >= 0 && g.bound <= g.Limit {
+		g.Skips++
+		return true
+	}
+	g.Scans++
+	var max2 float64
+	for i := range pos {
+		if d2 := vec.MinImage(pos[i], g.ref[i], box).Norm2(); d2 > max2 {
+			max2 = d2
+		}
+	}
+	if max2 > g.Limit*g.Limit {
+		return false
+	}
+	g.bound = math.Sqrt(max2)
+	return true
+}
+
+// Built records pos as the reference positions of a freshly built list.
+func (g *DriftGuard) Built(pos []vec.V3) {
+	if len(g.ref) != len(pos) {
+		g.ref = make([]vec.V3, len(pos))
+	}
+	copy(g.ref, pos)
+	g.bound = 0
+	g.built = true
+	g.Builds++
+}
+
+// Forget drops the list history: the next Valid reports false, so the
+// list is rebuilt from the positions it then sees.
+func (g *DriftGuard) Forget() { g.built = false }
 
 // Invalidate marks the bound unknown, forcing full scans.
 func (g *DriftGuard) Invalidate() { g.bound = -1 }
-
-// Seed replaces the bound with a measured maximum displacement (from a
-// full scan), re-arming skipping after the accumulated bound overshot.
-func (g *DriftGuard) Seed(bound float64) { g.bound = bound }
 
 // Advance adds one step's maximum per-atom displacement to the bound.
 func (g *DriftGuard) Advance(maxStep float64) {
@@ -134,7 +131,3 @@ func (g *DriftGuard) Advance(maxStep float64) {
 		g.bound += maxStep
 	}
 }
-
-// CanSkip reports whether the accumulated bound proves that no atom can
-// have moved beyond Limit, making a displacement scan unnecessary.
-func (g *DriftGuard) CanSkip() bool { return g.bound >= 0 && g.bound <= g.Limit }

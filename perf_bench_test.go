@@ -18,7 +18,6 @@ import (
 const (
 	benchSide   = 97.3 // Å → ~92.3k atoms at water density
 	benchCutoff = 9.0
-	benchSkin   = 1.5
 	benchDt     = 0.5
 )
 
@@ -37,7 +36,7 @@ func benchSystem(b *testing.B) (*gonamd.System, *gonamd.State, *gonamd.ForceFiel
 			panic(err)
 		}
 		ff := gonamd.StandardForceField(benchCutoff)
-		eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithPairlist(benchSkin))
+		eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithClusterLists(4, 4))
 		if err != nil {
 			panic(err)
 		}
@@ -51,35 +50,15 @@ func reportSteps(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
 }
 
-// BenchmarkStepPar is the headline number: the full batched pipeline —
-// per-task Verlet block lists, SoA batch kernel, sparse force reduction —
-// at 8 workers.
-func BenchmarkStepPar(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces() // build lists and warm per-worker buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParTraced is BenchmarkStepPar with a trace log attached:
-// the per-phase instrumentation must stay within 0 allocs/step and add
-// only marginal (≤2%) wall overhead.
-func BenchmarkStepParTraced(b *testing.B) {
+// BenchmarkStepParClusterTraced is BenchmarkStepParCluster with a trace
+// log attached: the per-phase instrumentation must stay within 0
+// allocs/step and add only marginal (≤2%) wall overhead.
+func BenchmarkStepParClusterTraced(b *testing.B) {
 	sys, st, ff := benchSystem(b)
 	tlog := gonamd.NewTraceLog()
 	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0),
-		gonamd.WithTrace(tlog))
+		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
+		gonamd.WithRebalanceEvery(0), gonamd.WithTrace(tlog))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,17 +74,18 @@ func BenchmarkStepParTraced(b *testing.B) {
 	b.ReportMetric(rep.Utilization*100, "util%")
 }
 
-// BenchmarkStepParMetrics is BenchmarkStepPar with a 1 Hz FTDC metrics
-// recorder attached: the telemetry contract is 0 allocs/step and ≤2%
-// wall overhead — publication is a handful of atomic word stores, and
-// the sampler goroutine touches only its own ring.
-func BenchmarkStepParMetrics(b *testing.B) {
+// BenchmarkStepParClusterMetrics is BenchmarkStepParCluster with a 1 Hz
+// FTDC metrics recorder attached: the telemetry contract is 0
+// allocs/step and ≤2% wall overhead — publication is a handful of
+// atomic word stores, and the sampler goroutine touches only its own
+// ring.
+func BenchmarkStepParClusterMetrics(b *testing.B) {
 	sys, st, ff := benchSystem(b)
 	rec := gonamd.NewMetricsRecorder(time.Second)
 	defer rec.Close()
 	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0),
-		gonamd.WithMetricsRecorder(rec))
+		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
+		gonamd.WithRebalanceEvery(0), gonamd.WithMetricsRecorder(rec))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -119,10 +99,10 @@ func BenchmarkStepParMetrics(b *testing.B) {
 	reportSteps(b)
 }
 
-// BenchmarkStepParBaseline is the pre-pipeline configuration of the
-// parallel engine — rebinning and screening every candidate pair every
-// step, no cached lists — kept as the reference the block-list speedup
-// is measured against.
+// BenchmarkStepParBaseline is the parallel engine's cell walk —
+// rebinning and screening every candidate pair every step, no cached
+// lists — kept as the reference the cluster-list speedup is measured
+// against.
 func BenchmarkStepParBaseline(b *testing.B) {
 	sys, st, ff := benchSystem(b)
 	eng, err := gonamd.NewParallel(sys, ff, st, 8, gonamd.WithRebalanceEvery(0))
@@ -139,37 +119,15 @@ func BenchmarkStepParBaseline(b *testing.B) {
 	reportSteps(b)
 }
 
-// BenchmarkStepParPME is the full-electrostatics configuration: the same
-// batched pipeline with the erfc real-space kernel plus the reciprocal
-// mesh sum (smooth PME on the worker pool) amortized over a 4-step
-// impulse-MTS cycle.
-func BenchmarkStepParPME(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0),
-		gonamd.WithPME(1.0, 3.12/benchCutoff, 4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	eng.RecipForces() // prime the reciprocal solver's mesh and spline caches
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
 // BenchmarkStepParCluster is the cluster-pair pipeline at 8 workers:
 // 8×8 cluster pair lists with a 0.5 Å skin, evaluated by the M×N kernel
 // (hoisted per-pair invariants, per-cluster accumulation, slot-force
 // flush into the sparse deterministic reduction). The speedup over
-// BenchmarkStepPar comes from the cluster layout — no per-candidate
-// batch building, branch-free operand staging per tile — and from the
-// tighter skin, which the amortized rebuild cost makes a net win at
-// this box size (see WithClusterSkin).
+// BenchmarkStepParBaseline comes from the cached list and the cluster
+// layout — no per-candidate screening or batch building, branch-free
+// operand staging per tile — and from the tight skin, which the
+// amortized rebuild cost makes a net win at this box size (see
+// WithClusterSkin).
 func BenchmarkStepParCluster(b *testing.B) {
 	sys, st, ff := benchSystem(b)
 	eng, err := gonamd.NewParallel(sys, ff, st, 8,
@@ -188,61 +146,17 @@ func BenchmarkStepParCluster(b *testing.B) {
 	reportSteps(b)
 }
 
-// BenchmarkStepParClusterF32 is BenchmarkStepParCluster on the
-// mixed-precision fast path: float32 pair math over the cluster tiles,
-// float64 per-cluster reduction (see DESIGN.md for the accuracy and
-// determinism contract).
-func BenchmarkStepParClusterF32(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithMixedPrecision(), gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
 // BenchmarkStepParClusterTab is BenchmarkStepParCluster with the
 // r²-indexed tabulated kernels: same lists, same deterministic
 // reduction, but the pair loop is table lookup + FMA — no Sqrt, no
 // switching branch (and no Erfc/Exp when PME is on). The default table
-// resolution keeps the force error well inside the fp32-mixed envelope
-// (see DESIGN.md "Tabulated kernels").
+// resolution keeps the per-atom force error under 1e-5 of the force
+// scale (see DESIGN.md "Tabulated kernels").
 func BenchmarkStepParClusterTab(b *testing.B) {
 	sys, st, ff := benchSystem(b)
 	eng, err := gonamd.NewParallel(sys, ff, st, 8,
 		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
 		gonamd.WithTabulatedKernels(0), gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParClusterTabF32 combines the tabulated kernels with the
-// mixed-precision fast path: float32 table reconstruction from the
-// float32 coefficient mirror, float64 per-cluster reduction.
-func BenchmarkStepParClusterTabF32(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithMixedPrecision(), gonamd.WithTabulatedKernels(0),
-		gonamd.WithRebalanceEvery(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,25 +229,6 @@ func BenchmarkStepSeqCluster(b *testing.B) {
 	sys, st, ff := benchSystem(b)
 	eng, err := gonamd.NewSequential(sys, ff, st,
 		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepSeq is the sequential engine with its Verlet pairlist on
-// the same system, for the single-processor baseline of the scaling
-// story.
-func BenchmarkStepSeq(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithPairlist(benchSkin))
 	if err != nil {
 		b.Fatal(err)
 	}

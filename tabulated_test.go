@@ -96,11 +96,10 @@ func TestClusterTabForceAccuracyApoA1(t *testing.T) {
 
 // TestClusterTabNVEDrift: 500 steps of NVE dynamics under the tabulated
 // kernels must conserve total energy within the same pinned bound the
-// mixed-precision and PME drift tests use. This is the property the
-// Hermite construction buys: the interpolated force is the exact
-// derivative of the interpolated energy, so the tabulated field is
-// conservative by construction and interpolation error cannot pump
-// energy.
+// PME drift test uses. This is the property the Hermite construction
+// buys: the interpolated force is the exact derivative of the
+// interpolated energy, so the tabulated field is conservative by
+// construction and interpolation error cannot pump energy.
 func TestClusterTabNVEDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long NVE run")
@@ -141,11 +140,11 @@ func TestClusterTabNVEDrift(t *testing.T) {
 
 // TestClusterTabReproducible: tabulated trajectories must be bitwise
 // reproducible run-to-run for a fixed configuration — sequential and
-// parallel at 1/2/4/8 workers, in both float64 and fp32-mixed table
-// modes — and every configuration must agree with the sequential
-// tabulated trajectory within reduction tolerance (the reduction order
-// differs across configurations, so cross-config identity is a
-// closeness statement, exactly as for the analytic cluster kernels).
+// parallel at 1/2/4/8 workers — and every configuration must agree with
+// the sequential tabulated trajectory within reduction tolerance (the
+// reduction order differs across configurations, so cross-config
+// identity is a closeness statement, exactly as for the analytic
+// cluster kernels).
 // The md-pme shape — 4×4 lists with PME and Ewald tables, on the table
 // lane kernel on AVX2 hosts — must in addition match the same pipeline
 // run on the pure-Go table loop bit for bit at every worker count.
@@ -153,12 +152,9 @@ func TestClusterTabReproducible(t *testing.T) {
 	sys, st, ff := diffSystem(t)
 	const steps, dt = 10, 0.5
 
-	run := func(workers int, mixed bool) *gonamd.State {
+	run := func(workers int) *gonamd.State {
 		s := st.Clone()
 		opts := tabOpts()
-		if mixed {
-			opts = append(opts, gonamd.WithMixedPrecision())
-		}
 		var eng gonamd.Engine
 		var err error
 		if workers == 0 {
@@ -176,7 +172,7 @@ func TestClusterTabReproducible(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, 1, 2, 4, 8} {
-		a, b := run(workers, false), run(workers, false)
+		a, b := run(workers), run(workers)
 		if !reflect.DeepEqual(a.Pos, b.Pos) || !reflect.DeepEqual(a.Vel, b.Vel) {
 			t.Errorf("workers=%d: tabulated trajectory not bitwise reproducible", workers)
 		}
@@ -208,14 +204,7 @@ func TestClusterTabReproducible(t *testing.T) {
 			t.Errorf("4x4 workers=%d: tabulated PME trajectory or energies differ from the pure-Go table loop's", workers)
 		}
 	}
-	for _, workers := range []int{0, 4} {
-		a, b := run(workers, true), run(workers, true)
-		if !reflect.DeepEqual(a.Pos, b.Pos) || !reflect.DeepEqual(a.Vel, b.Vel) {
-			t.Errorf("workers=%d: fp32-mixed tabulated trajectory not bitwise reproducible", workers)
-		}
-	}
-
-	seqTab := run(0, false)
+	seqTab := run(0)
 	compare := func(name string, pos []gonamd.V3, tol float64) {
 		t.Helper()
 		worst := 0.0
@@ -229,7 +218,7 @@ func TestClusterTabReproducible(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		compare("parallel tab", run(workers, false).Pos, 1e-6)
+		compare("parallel tab", run(workers).Pos, 1e-6)
 	}
 
 	// Cross-mode half of the envelope: the tabulated trajectory tracks
